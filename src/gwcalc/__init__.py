@@ -44,7 +44,7 @@ from .qring import (
     s_r_determinant,
     small_ring,
 )
-from .series import GWSeries, GradedPoly, SeriesBounds, binomial_z, series_mul, series_partial
+from .series import GWSeries, GradedPoly, SeriesBounds, binomial_z, series_partial
 
 __all__ = [
     "BoundaryDatum",
@@ -85,7 +85,6 @@ __all__ = [
     "presentation_from_big",
     "s_r_determinant",
     "save_model",
-    "series_mul",
     "series_partial",
     "small_ring",
     "standard_seeds",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GWTable
-from .series import MultiIndex, binomial_z
+from .series import MultiIndex, binomial_z, class_splits
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,6 @@ class BoundaryDatum:
         return frozenset(((self.a, self.beta1), (self.b, self.beta2)))
 
 
-def _class_splits(beta: MultiIndex) -> list[MultiIndex]:
-    out: list[tuple[int, ...]] = [()]
-    for entry in beta:
-        out = [prefix + (x,) for prefix in out for x in range(entry + 1)]
-    return out
-
-
 def _complement(beta: MultiIndex, part: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(beta, part))
 
@@ -71,7 +64,7 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     data: list[BoundaryDatum] = []
     if n == 0:
         empty: frozenset[int] = frozenset()
-        for beta1 in _class_splits(beta):
+        for beta1 in class_splits(beta):
             beta2 = _complement(beta, beta1)
             if beta1 > beta2:
                 continue  # unordered pair; keep the lexicographically least part
@@ -83,7 +76,7 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     for mask in range(1 << len(others)):
         side_a = frozenset({1} | {others[i] for i in range(len(others)) if mask >> i & 1})
         side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in _class_splits(beta):
+        for beta1 in class_splits(beta):
             datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
             if datum.is_valid(n, beta):
                 data.append(datum)
@@ -105,7 +98,7 @@ def d_sum(
     for mask in range(1 << len(rest)):
         side_a = frozenset({i, j} | {rest[t] for t in range(len(rest)) if mask >> t & 1})
         side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in _class_splits(beta):
+        for beta1 in class_splits(beta):
             datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
             if datum.is_valid(n, beta):
                 data.append(datum)

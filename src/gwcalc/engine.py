@@ -8,8 +8,9 @@ classes).  Three producers are implemented:
 * ``fano3_solve``: the six coupled recursions shared by the projective
   3-space and the quadric threefold, every value cross-checked against all
   applicable recursions,
-* ``wdvv_solve``:  a generic solver that extracts one coefficient equation of
-  the associativity system per unknown and verifies the rest.
+* ``wdvv_solve``:  a generic solver that solves each c1-degree level of the
+  associativity system as one exact linear system, built from the residual
+  series of :mod:`gwcalc.potential`.
 
 ``gw_invariant`` evaluates an arbitrary invariant from a table by the three
 reduction rules: a zero curve class gives the classical triple product, a
@@ -21,17 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import FanoModel, builtin_model
-from .series import (
-    MultiIndex,
-    binomial_z,
-    compositions,
-    index_sub,
-    split_binomial,
-    splittings,
-)
+from .series import MultiIndex, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
 
@@ -422,251 +416,74 @@ def wdvv_canonical_equations(m: int) -> list[WdvvEquationId]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Lin:
-    """Affine-linear expression in not-yet-solved table entries."""
-
-    const: Fraction = Fraction(0)
-    terms: dict[TableKey, Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def number(cls, value: int | Fraction) -> "_Lin":
-        return cls(Fraction(value), {})
-
-    @classmethod
-    def symbol(cls, key: TableKey) -> "_Lin":
-        return cls(Fraction(0), {key: Fraction(1)})
-
-    def __add__(self, other: "_Lin") -> "_Lin":
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            acc = terms.get(key, Fraction(0)) + value
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return _Lin(self.const + other.const, terms)
-
-    def __sub__(self, other: "_Lin") -> "_Lin":
-        return self + other.scale(-1)
-
-    def scale(self, value: int | Fraction) -> "_Lin":
-        value = Fraction(value)
-        if not value:
-            return _Lin()
-        return _Lin(self.const * value, {k: v * value for k, v in self.terms.items()})
-
-    def __mul__(self, other: "_Lin") -> "_Lin":
-        if self.terms and other.terms:
-            raise SolveError("nonlinear term: two unsolved counts multiplied")
-        if self.terms:
-            return self.scale(other.const) if other.const else _Lin()
-        return other.scale(self.const)
-
-
-Lookup = Callable[[TableKey], _Lin]
-
-
-def _phi_coeff(
-    model: FanoModel,
-    lookup: Lookup,
-    beta: MultiIndex,
-    n: MultiIndex,
-    a: int,
-    b: int,
-    c: int,
-) -> _Lin:
-    """Divided-power coefficient at (beta, n) of the third-partial series of
-    the potential in directions (a, b, c)."""
-    if not any(beta):
-        if any(n):
-            return _Lin()
-        return _Lin.number(model.triple(a, b, c))
-    result = _reduce(model, beta, n, (a, b, c))
-    if result[0] == "const":
-        return _Lin.number(result[1])
-    _, mult, key = result
-    return lookup(key).scale(mult)
-
-
-def _equation_coefficient(
-    model: FanoModel,
-    lookup: Lookup,
-    quad: tuple[int, int, int, int],
-    beta: MultiIndex,
-    n: MultiIndex,
-) -> _Lin:
-    """Coefficient at (beta, n) of the associativity expression for ``quad``,
-    via the convolution of third-partial coefficients against the inverse
-    pairing."""
-    i, j, k, l = quad
-    total = _Lin()
-    pairs = model.g_inv_pairs()
-    for beta1 in _vector_splits(beta):
-        beta2 = index_sub(beta, beta1)
-        for n1, n2 in splittings(n):
-            weight = split_binomial(n, n1)
-            for e, f, gef in pairs:
-                first = _phi_coeff(model, lookup, beta1, n1, i, j, e) * _phi_coeff(
-                    model, lookup, beta2, n2, f, k, l
-                )
-                second = _phi_coeff(model, lookup, beta1, n1, j, k, e) * _phi_coeff(
-                    model, lookup, beta2, n2, f, i, l
-                )
-                total = total + (first - second).scale(gef * weight)
-    return total
-
-
-def _vector_splits(beta: MultiIndex) -> list[MultiIndex]:
-    out: list[tuple[int, ...]] = [()]
-    for entry in beta:
-        out = [prefix + (x,) for prefix in out for x in range(entry + 1)]
-    return out
-
-
-def _nondivisor_delta(model: FanoModel, cls: int) -> MultiIndex:
-    delta = [0] * len(model.nondivisor_indices)
-    p = model.divisor_count
-    if cls > p:
-        delta[cls - p - 1] = 1
-    return tuple(delta)
-
-
 def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
     """Solve for every count with c1-degree at most ``c1_max`` from seeds.
 
-    Unknowns are processed level by level in the c1-degree; inside a level
-    each unknown is read off from some coefficient equation in which it
-    appears linearly and alone, and afterwards every remaining equation at
-    the level is checked to vanish.
+    Unknowns are solved level by level in the c1-degree, each level as one
+    exact linear system.  Its rows are the coefficients, at keys of the
+    level's c1-degree, of the associativity residual of every canonical
+    quadruple.  There the unknowns enter only linearly, against classical
+    triple products: the constant column is the residual of the counts known
+    so far, and the column of an unknown is the residual of the potential
+    holding that count alone at value 1.  Any other product of two such terms
+    lands at c1-degree 0 or twice the level, outside the rows.  Every row is
+    part of the system, so a solved level is also a verified one.
     """
+    from .potential import build_potential, wdvv_residual  # potential imports engine
+
     if seeds.model != model:
         raise ValueError("seed table belongs to a different model")
-    known: dict[TableKey, int] = {}
+    known = GWTable(model, c1_max)
     for (beta, n), value in seeds.entries.items():
         if model.c1_degree(beta) <= c1_max:
-            known[(beta, n)] = value
+            known.add(beta, n, value)
 
     weights = model.insertion_weights()
     quads = [eq.indices for eq in wdvv_canonical_equations(model.top_index)]
     classes = [b for b in model.effective_classes(c1_max) if any(b)]
-    levels = sorted({model.c1_degree(b) for b in classes})
-
-    def lookup_factory(pending: set[TableKey]) -> Lookup:
-        def lookup(key: TableKey) -> _Lin:
-            if key in known:
-                return _Lin.number(known[key])
-            if key in pending:
-                return _Lin.symbol(key)
-            raise SolveError(f"lookup of unexpected key {key}")
-
-        return lookup
-
-    for level in levels:
-        level_classes = [b for b in classes if model.c1_degree(b) == level]
-        target_degree = model.dimension + level - 3
-        pending: list[TableKey] = []
-        for beta in level_classes:
-            for n in compositions(weights, target_degree):
-                if (beta, n) not in known:
-                    pending.append((beta, n))
-        pending.sort(key=lambda key: (sum(key[1]), key[0], tuple(reversed(key[1]))))
-        pending_set = set(pending)
-        lookup = lookup_factory(pending_set)
-
-        while pending:
-            progressed = False
-            for unknown in list(pending):
-                solution = _solve_one(model, lookup, quads, unknown, pending_set)
-                if solution is None:
-                    continue
-                if solution.denominator != 1:
-                    raise SolveError(f"non-integral solution {solution} for {unknown}")
-                if solution < 0:
-                    raise SolveError(f"negative solution {solution} for {unknown}")
-                known[unknown] = int(solution)
-                pending.remove(unknown)
-                pending_set.discard(unknown)
-                progressed = True
-            if not progressed:
-                raise SolveError(
-                    f"no solvable equation for unknown {pending[0]} "
-                    f"(c1-degree {level}) on {model.name}"
-                )
-
-        _verify_level(model, lookup, quads, level_classes, level)
-
-    table = GWTable(model, c1_max)
-    for (beta, n), value in known.items():
-        table.add(beta, n, value)
-    return table
-
-
-def _solve_one(
-    model: FanoModel,
-    lookup: Lookup,
-    quads: list[tuple[int, int, int, int]],
-    unknown: TableKey,
-    pending: set[TableKey],
-) -> Fraction | None:
-    """Find an equation containing ``unknown`` linearly and no other pending
-    unknown; return its value, or None if no such equation exists yet."""
-    beta, n_target = unknown
-    codims = model.codims
-    for quad in quads:
-        quad_codim = sum(codims[x] for x in quad)
-        required = model.dimension + model.c1_degree(beta) - quad_codim
-        if required < 0:
-            continue
-        keys: set[MultiIndex] = set()
-        for x, y in ((quad[0], quad[1]), (quad[2], quad[3]), (quad[1], quad[2]), (quad[0], quad[3])):
-            # subtract the two fixed insertions, then each choice of pairing index
-            partial = index_sub(n_target, _nondivisor_delta(model, x))
-            if partial is None:
-                continue
-            partial = index_sub(partial, _nondivisor_delta(model, y))
-            if partial is None:
-                continue
-            for e in range(model.rank):
-                candidate = index_sub(partial, _nondivisor_delta(model, e))
-                if candidate is None:
-                    continue
-                if sum(w * v for w, v in zip(model.insertion_weights(), candidate)) == required:
-                    keys.add(candidate)
-        for n_key in sorted(keys):
-            expr = _equation_coefficient(model, lookup, quad, beta, n_key)
-            coeff = expr.terms.get(unknown)
-            if not coeff:
-                continue
-            if any(k != unknown for k in expr.terms):
-                continue
-            return -expr.const / coeff
-    return None
-
-
-def _verify_level(
-    model: FanoModel,
-    lookup: Lookup,
-    quads: list[tuple[int, int, int, int]],
-    level_classes: list[MultiIndex],
-    level: int,
-) -> None:
-    """Evaluate every canonical equation coefficient at this level; all must
-    vanish once the level is solved."""
-    weights = model.insertion_weights()
-    for quad in quads:
-        quad_codim = sum(model.codims[x] for x in quad)
-        required = model.dimension + level - quad_codim
-        if required < 0:
-            continue
-        for beta in level_classes:
-            for n in compositions(weights, required):
-                value = _equation_coefficient(model, lookup, quad, beta, n)
-                if value.terms or value.const:
-                    raise SolveError(
-                        f"inconsistent system on {model.name}: equation "
-                        f"{quad} at key {(beta, n)} leaves {value.const}"
-                    )
+    for level in sorted({model.c1_degree(b) for b in classes}):
+        unknowns = [
+            (beta, n)
+            for beta in classes
+            if model.c1_degree(beta) == level
+            for n in compositions(weights, model.dimension + level - 3)
+            if (beta, n) not in known.entries
+        ]
+        tables = [GWTable(model, level, {key: 1}) for key in unknowns] + [known]
+        rows: dict[tuple, dict[int, Fraction]] = {}
+        for col, table in enumerate(tables):
+            bundle = build_potential(model, table, level)
+            for quad in quads:
+                for key, value in wdvv_residual(bundle, *quad).coeffs.items():
+                    if model.c1_degree(key[0]) == level:
+                        rows.setdefault((quad, key), {})[col] = value
+        equations = sorted(rows)
+        pivots, origin = row_reduce(rows[eq] for eq in equations)
+        const = len(unknowns)
+        if const in pivots:
+            quad, key = equations[origin[const]]
+            raise SolveError(
+                f"inconsistent system at c1-degree {level} on {model.name}: "
+                f"equation {quad} at key {key} cannot vanish"
+            )
+        free = [
+            unknown
+            for col, unknown in enumerate(unknowns)
+            if col not in pivots or any(c != col and c != const for c in pivots[col])
+        ]
+        if free:
+            raise SolveError(
+                f"no unique solution at c1-degree {level} on {model.name}: "
+                f"unknowns {free} are not determined"
+            )
+        for col, unknown in enumerate(unknowns):
+            value = -pivots[col].get(const, 0)
+            if value.denominator != 1:
+                raise SolveError(f"non-integral solution {value} for {unknown}")
+            if value < 0:
+                raise SolveError(f"negative solution {value} for {unknown}")
+            known.add(*unknown, int(value))
+    return known
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .series import MultiIndex, SeriesBounds
+from .series import MultiIndex, SeriesBounds, row_reduce
 
 
 class ModelError(ValueError):
@@ -25,22 +25,15 @@ class ModelError(ValueError):
 
 
 def _invert_exact(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a square integer matrix via Gauss-Jordan elimination."""
+    """Exact inverse of a square integer matrix: row-reducing [M | I] gives
+    [I | M^-1] exactly when M is nonsingular."""
     size = len(matrix)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ModelError("pairing matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for row in range(size):
-            if row != col and work[row][col]:
-                factor = work[row][col]
-                work[row] = [a - factor * b for a, b in zip(work[row], work[col])]
-    return [row[size:] for row in work]
+    pivots, _ = row_reduce(
+        {**dict(enumerate(row)), size + i: 1} for i, row in enumerate(matrix)
+    )
+    if sorted(pivots) != list(range(size)):
+        raise ModelError("pairing matrix is singular")
+    return [[pivots[i].get(size + j, Fraction(0)) for j in range(size)] for i in range(size)]
 
 
 @dataclass(frozen=True)

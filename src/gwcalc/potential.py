@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .series import GWSeries, MultiIndex, NO_LIMIT, SeriesBounds, series_partial
+from .series import GWSeries, MultiIndex, NO_LIMIT, SeriesBounds, class_splits, series_partial
 
 
 @dataclass
@@ -131,29 +131,42 @@ def g_bracket(
         raise ValueError("need at least four insertions")
     free = [x for x in range(1, n + 1) if x not in positions]
     total = Fraction(0)
-    pairs = model.g_inv_pairs()
     for mask in range(1 << len(free)):
         side_a = {q, r} | {free[x] for x in range(len(free)) if mask >> x & 1}
         side_b = set(range(1, n + 1)) - side_a
         classes_a = [classes[x - 1] for x in sorted(side_a)]
         classes_b = [classes[x - 1] for x in sorted(side_b)]
-        for beta1 in _splits(beta):
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
-            for e, f, gef in pairs:
-                left = gw_invariant(model, table, beta1, classes_a + [e])
-                if left == 0:
-                    continue
-                right = gw_invariant(model, table, beta2, classes_b + [f])
-                if right == 0:
-                    continue
-                total += gef * left * right
+        total += glue_sum(
+            model,
+            beta,
+            lambda beta1, e: gw_invariant(model, table, beta1, classes_a + [e]),
+            lambda beta2, f: gw_invariant(model, table, beta2, classes_b + [f]),
+        )
     if total.denominator != 1:
         raise ArithmeticError(f"boundary sum is not integral: {total}")
     return int(total)
 
 
-def _splits(beta: MultiIndex) -> list[MultiIndex]:
-    out: list[tuple[int, ...]] = [()]
-    for entry in beta:
-        out = [prefix + (x,) for prefix in out for x in range(entry + 1)]
-    return out
+def glue_sum(
+    model: FanoModel,
+    beta: MultiIndex,
+    left: Callable[[MultiIndex, int], int | Fraction],
+    right: Callable[[MultiIndex, int], int | Fraction],
+) -> Fraction:
+    """Sum of left(beta1, e) * g^{ef} * right(beta2, f) over the class
+    splittings beta = beta1 + beta2 and the nonzero inverse-pairing entries.
+
+    ``right`` is not evaluated where ``left`` vanishes.
+    """
+    total = Fraction(0)
+    pairs = model.g_inv_pairs()
+    for beta1 in class_splits(beta):
+        beta2 = tuple(x - y for x, y in zip(beta, beta1))
+        for e, f, gef in pairs:
+            left_value = left(beta1, e)
+            if left_value == 0:
+                continue
+            right_value = right(beta2, f)
+            if right_value:
+                total += gef * left_value * right_value
+    return total

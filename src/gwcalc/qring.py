@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .potential import PotentialBundle
-from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add
+from .potential import PotentialBundle, glue_sum
+from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
 
 Expansion = dict[int, GWSeries]
 
@@ -234,41 +234,16 @@ class PresentationIdeal:
             return cached
         monos = self.monomials(degree)
         position = {m: idx for idx, m in enumerate(monos)}
-        rows: list[list[Fraction]] = []
-        for rel in self.relations:
-            rel_degree = rel.homogeneous_degree()
-            shift = degree - rel_degree
-            if shift < 0:
-                continue
-            for mono in compositions(self.degrees, shift):
-                row = [Fraction(0)] * len(monos)
-                for term, coeff in rel.coeffs.items():
-                    row[position[index_add(term, mono)]] = Fraction(coeff)
-                rows.append(row)
-        pivots: dict[int, list[Fraction]] = {}
-        for row in rows:
-            row = list(row)
-            for col, pivot_row in pivots.items():
-                if row[col]:
-                    factor = row[col]
-                    row = [a - factor * b for a, b in zip(row, pivot_row)]
-            lead = next((idx for idx, v in enumerate(row) if v), None)
-            if lead is None:
-                continue
-            inv = 1 / row[lead]
-            row = [v * inv for v in row]
-            for col, pivot_row in list(pivots.items()):
-                if pivot_row[lead]:
-                    factor = pivot_row[lead]
-                    pivots[col] = [a - factor * b for a, b in zip(pivot_row, row)]
-            pivots[lead] = row
+        pivots, _ = row_reduce(
+            {position[index_add(term, mono)]: coeff for term, coeff in rel.coeffs.items()}
+            for rel in self.relations
+            for mono in compositions(self.degrees, degree - rel.homogeneous_degree())
+        )
         basis = [m for idx, m in enumerate(monos) if idx not in pivots]
         rewrite: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
         for lead, row in pivots.items():
             rewrite[monos[lead]] = {
-                monos[idx]: -value
-                for idx, value in enumerate(row)
-                if value and idx != lead
+                monos[idx]: -value for idx, value in sorted(row.items()) if idx != lead
             }
         result = (basis, rewrite)
         self._cache[degree] = result
@@ -516,23 +491,10 @@ def fixed_points_number(
         return Fraction(gw_invariant(model, table, beta, classes))
     if not 1 < k < n - 1:
         raise ValueError(f"split position must satisfy 1 < k < {n - 1}")
-    total = Fraction(0)
     head, tail = list(classes[:k]), list(classes[k:])
-    for beta1 in _all_splits(beta):
-        beta2 = tuple(x - y for x, y in zip(beta, beta1))
-        for e, f, gef in model.g_inv_pairs():
-            left = fixed_points_number(model, table, beta1, head + [e])
-            if left == 0:
-                continue
-            right = fixed_points_number(model, table, beta2, [f] + tail)
-            if right == 0:
-                continue
-            total += gef * left * right
-    return total
-
-
-def _all_splits(beta: MultiIndex) -> list[MultiIndex]:
-    out: list[tuple[int, ...]] = [()]
-    for entry in beta:
-        out = [prefix + (x,) for prefix in out for x in range(entry + 1)]
-    return out
+    return glue_sum(
+        model,
+        beta,
+        lambda beta1, e: fixed_points_number(model, table, beta1, head + [e]),
+        lambda beta2, f: fixed_points_number(model, table, beta2, [f] + tail),
+    )

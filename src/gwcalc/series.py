@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: zero-extended binomials, divided-power series,
-and graded integer polynomials.
+exact Gauss-Jordan elimination, and graded integer polynomials.
 
 Everything here is exact.  Integers are Python ints, rationals are
 ``fractions.Fraction``; no floats appear anywhere.
@@ -27,6 +27,7 @@ frontier); products and derivatives shrink that region by the obvious rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,6 +89,12 @@ def split_binomial(n: MultiIndex, n1: MultiIndex) -> int:
         if out == 0:
             return 0
     return out
+
+
+def class_splits(beta: MultiIndex) -> list[MultiIndex]:
+    """Every beta1 with 0 <= beta1 <= beta componentwise, in lexicographic
+    order; beta1 and beta - beta1 are the two parts of a class splitting."""
+    return list(itertools.product(*(range(d + 1) for d in beta)))
 
 
 def compositions(weights: tuple[int, ...], target: int) -> Iterator[MultiIndex]:
@@ -288,11 +295,6 @@ class GWSeries:
         )
 
 
-def series_mul(a: GWSeries, b: GWSeries) -> GWSeries:
-    """Divided-power product of two series on matching bounds."""
-    return a * b
-
-
 def series_partial(a: GWSeries, var: int) -> GWSeries:
     """Partial derivative with respect to variable ``var`` (1-based).
 
@@ -323,6 +325,56 @@ def series_partial(a: GWSeries, var: int) -> GWSeries:
             limit = limit - 1
         return GWSeries(bounds, coeffs, a.complete_c1, limit)
     raise ValueError(f"unknown variable {var} (expected 1..{p + bounds.n_vars})")
+
+
+# ---------------------------------------------------------------------------
+# Exact linear elimination
+# ---------------------------------------------------------------------------
+
+Row = dict[int, Fraction]
+
+
+def row_reduce(
+    rows: Iterable[Mapping[int, int | Fraction]],
+) -> tuple[dict[int, Row], dict[int, int]]:
+    """Reduced row echelon form of the span of sparse rows, by exact
+    Gauss-Jordan elimination.
+
+    A row maps column index -> coefficient; rows are absorbed in order and a
+    row's pivot is its smallest nonzero column.  Returns ``(pivots, origin)``:
+    ``pivots`` maps each pivot column to its reduced row (1 at the pivot, 0 in
+    every other pivot column), and ``origin`` maps each pivot column to the
+    position of the input row that introduced it.
+    """
+    pivots: dict[int, Row] = {}
+    origin: dict[int, int] = {}
+    for position, entries in enumerate(rows):
+        row = {col: Fraction(value) for col, value in entries.items() if value}
+        # pivot rows vanish in every other pivot column, so the order of
+        # these subtractions does not matter
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row[col], pivots[col])
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {col: value * inv for col, value in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        pivots[lead] = row
+        origin[lead] = position
+    return pivots, origin
+
+
+def _subtract(row: Row, factor: Fraction, other: Row) -> None:
+    """In place: row -= factor * other, dropping entries that cancel."""
+    for col, value in other.items():
+        acc = row.get(col, 0) - factor * value
+        if acc:
+            row[col] = acc
+        else:
+            row.pop(col, None)
 
 
 # ---------------------------------------------------------------------------

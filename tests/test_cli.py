@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -105,6 +106,25 @@ def test_solve_user_model_file(capsys, tmp_path):
     assert code == 0
     values = {tuple(row["key"]): row["value"] for row in json.loads(out)["rows"]}
     assert values[(2, 5)] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--model", "q3", "--dmax", "5"),
+            "90dbc2801e5ee66cd163b18bf0334731325644b1d588ed4f82c22c984294c1a0",
+        ),
+        (
+            ("--model", "pr", "--r", "4", "--dmax", "3"),
+            "1eedde6f48f703b43bf594e70dbeb9bf698b8861be99aa900230aa286f188993",
+        ),
+    ],
+)
+def test_solve_json_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, "solve", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_qring_plane(capsys):

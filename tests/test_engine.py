@@ -215,12 +215,25 @@ def test_solver_line_only_model():
     assert table.entries == {((1,), ()): 1}
 
 
-def test_solver_detects_contradictory_seeds(q3):
+def test_solver_detects_contradictory_seeds(q3, p3):
     bad = GWTable(q3, 3)
     bad.add((1,), (1, 1), 1)
     bad.add((1,), (3, 0), 5)
     with pytest.raises(SolveError, match="inconsistent"):
         wdvv_solve(q3, bad, 6)
+    # a wrong conic count (the true one is 0) beside four unknowns of its level
+    bad = standard_seeds(p3)
+    bad.add((2,), (0, 4), 2)
+    with pytest.raises(SolveError, match="inconsistent"):
+        wdvv_solve(p3, bad, 8)
+
+
+def test_solver_names_every_free_unknown(p3):
+    # without the seed, the line counts are fixed only up to one common scale
+    with pytest.raises(SolveError, match="c1-degree 4") as info:
+        wdvv_solve(p3, GWTable(p3, 4), 8)
+    for unknown in (((1,), (0, 2)), ((1,), (2, 1)), ((1,), (4, 0))):
+        assert str(unknown) in str(info.value)
 
 
 def test_solver_rejects_foreign_seeds(p2, q3):

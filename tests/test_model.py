@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwcalc import (
     ModelError,
@@ -12,6 +14,7 @@ from gwcalc import (
     model_from_dict,
     save_model,
 )
+from gwcalc.model import _invert_exact
 
 ALL_BUILTINS = ["p1", "p2", "p3", "q3", "p1xp1"]
 
@@ -50,6 +53,42 @@ def test_pairing_inverse_exact():
                     Fraction(model.g(i, e)) * model.g_inv(e, j) for e in range(size)
                 )
                 assert total == (1 if i == j else 0)
+
+
+def _determinant(matrix):
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** col * matrix[0][col] * _determinant([row[:col] + row[col + 1:] for row in matrix[1:]])
+        for col in range(len(matrix))
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_invert_exact_property(matrix):
+    size = len(matrix)
+    if _determinant(matrix) == 0:
+        with pytest.raises(ModelError, match="singular"):
+            _invert_exact(matrix)
+        return
+    inverse = _invert_exact(matrix)
+    for i in range(size):
+        for j in range(size):
+            total = sum(inverse[i][e] * matrix[e][j] for e in range(size))
+            assert total == (1 if i == j else 0)
+
+
+def test_invert_exact_singular():
+    with pytest.raises(ModelError, match="singular"):
+        _invert_exact([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 
 
 def test_duality_counts():
