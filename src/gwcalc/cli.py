@@ -45,8 +45,6 @@ from .qring import (
 )
 from .series import GradedPoly
 
-_FANO3_LINE_DEGREE = {"p3": 4, "q3": 3}
-
 
 @dataclass
 class RunConfig:
@@ -132,14 +130,11 @@ class ConfigError(ValueError):
 def _resolve_model(config: RunConfig) -> FanoModel:
     if config.model_file:
         return load_model(config.model_file)
-    name = config.model
-    if name is None:
+    if config.model is None:
         raise ConfigError("a model is required (--model or --model-file)")
-    if name == "pr":
-        if config.r is None:
-            raise ConfigError("--model pr needs --r")
-        return builtin_model("pr", r=config.r)
-    return builtin_model(name)
+    if config.model == "pr" and config.r is None:
+        raise ConfigError("--model pr needs --r")
+    return builtin_model(config.model, r=config.r)
 
 
 def _require_dmax(config: RunConfig, minimum: int = 1) -> int:
@@ -181,20 +176,13 @@ def _cmd_nd(config: RunConfig) -> Report:
 
 
 def _cmd_fano3(config: RunConfig) -> Report:
-    if config.space not in _FANO3_LINE_DEGREE:
-        raise ConfigError("--space must be p3 or q3")
     d_max = _require_dmax(config)
     table = fano3_solve(config.space, d_max)
     rows = [(n, value) for (_, n), value in table.sorted_items()]
     report = Report(config.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
     if config.check:
-        report.checks.append(
-            (
-                "recursion-cross-validation",
-                True,
-                "every applicable recursion instance re-checked during solve",
-            )
-        )
+        # the associativity residuals are a second route to the same numbers
+        report.checks.extend(_wdvv_checks(table.model, table, config.trunc))
     return report
 
 
@@ -312,7 +300,7 @@ def _ring_checks(model: FanoModel, table: GWTable, trunc: int | None):
                         worst = f"({i},{j},{k}) -> T{f}"
     checks.append(("big-associative", assoc_ok, worst or "all triples to truncation"))
 
-    if model.name == "p2":
+    if model.same_data(builtin_model("p2")):
         try:
             presentation_from_big(bundle)
             checks.append(("plane-cubic-presentation", True, "residual zero"))
@@ -465,30 +453,33 @@ def _brute_force_boundary(model, n, beta):
 def _cmd_verify(config: RunConfig) -> Report:
     if config.suite not in {"wdvv", "rings", "boundary", "all"}:
         raise ConfigError("--suite must be wdvv, rings, boundary, or all")
-    name = config.model or "p2"
     d_max = config.d_max if config.d_max is not None else 3
     if d_max < 1:
         raise ConfigError("--dmax must be at least 1")
-    report = Report(name, "verify", {"suite": config.suite, "dmax": d_max}, [])
+    bounds = {"suite": config.suite, "dmax": d_max}
 
+    name = config.model or "p2"
     grass = name.startswith("gr") and name[2:].isdigit() and len(name) == 4
     if grass:
         if config.suite not in {"rings", "all"}:
             raise ConfigError(f"model {name} supports only the rings suite")
+        report = Report(name, "verify", bounds, [])
         report.checks.extend(_grassmannian_checks(int(name[2]), int(name[3])))
         return report
 
-    model = _resolve_model(RunConfig(command="verify", model=name, model_file=config.model_file, r=config.r))
+    model = _resolve_model(config) if config.model or config.model_file else builtin_model("p2")
+    report = Report(model.name, "verify", bounds, [])
     if config.suite in {"wdvv", "all"}:
         table = standard_table(model, _solve_c1_max(model, d_max))
         report.checks.extend(_wdvv_checks(model, table, config.trunc))
     if config.suite in {"rings", "all"}:
         table = standard_table(model, _solve_c1_max(model, d_max))
         report.checks.extend(_ring_checks(model, table, config.trunc))
-        if model.name.startswith("p") and model.name[1:].isdigit() and model.dimension <= 4 and model.name != "p1xp1":
+        if 1 <= model.dimension <= 4 and model.same_data(builtin_model("pr", r=model.dimension)):
             report.checks.extend(_pr_checks(model.dimension))
-    if config.suite == "boundary" or (config.suite == "all" and model.name == "p2"):
-        if model.name != "p2":
+    plane = model.same_data(builtin_model("p2"))
+    if config.suite == "boundary" or (config.suite == "all" and plane):
+        if not plane:
             raise ConfigError("the boundary suite replays the plane argument; use --model p2")
         report.checks.extend(_boundary_checks(d_max))
     return report

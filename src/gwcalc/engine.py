@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .model import FanoModel, builtin_model
+from .model import FanoModel, ModelError, builtin_model
 from .series import MultiIndex, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
@@ -170,11 +170,14 @@ def nd_plane(d_max: int) -> GWTable:
 # The two Fano threefolds
 # ---------------------------------------------------------------------------
 
-_FANO3 = {
-    # name -> (c1 degree of a line, hyperplane self-intersection c, seed)
-    "p3": (4, 1, (0, 2)),
-    "q3": (3, 2, (1, 1)),
-}
+def _fano3_data(space: str) -> tuple[FanoModel, int, int, tuple[int, int]]:
+    """The built-in model of p3 or q3 with the facts its recursions read:
+    the c1-degree k of a line, the hyperplane cube c and the seed (a, b)."""
+    if space not in ("p3", "q3"):
+        raise ValueError(f"space must be one of ['p3', 'q3'], got {space!r}")
+    model = builtin_model(space)
+    ((_, seed, _),) = model.seeds
+    return model, model.effective_c1[0], model.triple(1, 1, 1), seed
 
 
 def _fano3_rhs(
@@ -241,11 +244,9 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     general points.  Every value is derived from at least one recursion and
     afterwards checked against every applicable one.
     """
-    if space not in _FANO3:
-        raise ValueError(f"space must be one of {sorted(_FANO3)}, got {space!r}")
+    _, k, c, seed = _fano3_data(space)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    k, c, seed = _FANO3[space]
     known: dict[tuple[int, int], int] = {seed: 1}
 
     def record(target: tuple[int, int], value: Fraction, route: str) -> None:
@@ -309,7 +310,7 @@ def _fano3_cross_validate(
     space: str, d_max: int, known: Mapping[tuple[int, int], int]
 ) -> None:
     """Check every applicable recursion instance on the finished table."""
-    k, c, _ = _FANO3[space]
+    _, k, c, _ = _fano3_data(space)
     for d in range(1, d_max + 1):
         for a in range(k * d % 2, k * d + 1, 2):
             b = (k * d - a) // 2
@@ -338,10 +339,7 @@ def _fano3_cross_validate(
 def fano3_solve(space: str, d_max: int) -> GWTable:
     """Table for p3 or q3: key ((d,), (a, b)) counts curves meeting a lines
     and b points."""
-    if space not in _FANO3:
-        raise ValueError(f"space must be one of {sorted(_FANO3)}, got {space!r}")
-    model = builtin_model(space)
-    k, _, _ = _FANO3[space]
+    model, k, _, _ = _fano3_data(space)
     table = GWTable(model, k * d_max)
     for (a, b), value in fano3_numbers(space, d_max).items():
         d = (a + 2 * b) // k
@@ -487,44 +485,30 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
 
 
 # ---------------------------------------------------------------------------
-# Standard seeds and tables per built-in model
+# Standard seeds and tables, chosen by model data
 # ---------------------------------------------------------------------------
 
 
 def standard_seeds(model: FanoModel) -> GWTable:
-    """The minimal line-count seeds each built-in model starts from."""
-    name = model.name
-    q = len(model.nondivisor_indices)
+    """The seed counts the model carries, as a table to solve from."""
+    if not model.seeds:
+        raise ModelError(f"model {model.name!r} carries no seeds")
     table = GWTable(model, max(model.effective_c1))
-    if name == "p1":
-        table.add((1,), (), 1)
-    elif name == "p2":
-        table.add((1,), (2,), 1)
-    elif name == "p3":
-        table.add((1,), (0, 2), 1)
-    elif name == "q3":
-        table.add((1,), (1, 1), 1)
-    elif name == "p1xp1":
-        table.add((1, 0), (1,), 1)
-        table.add((0, 1), (1,), 1)
-    elif name.startswith("p") and name[1:].isdigit():
-        point = (0,) * (q - 1) + (2,)
-        table.add((1,), point, 1)
-    else:
-        raise ValueError(f"no standard seeds for model {model.name!r}")
+    for beta, n, value in model.seeds:
+        table.add(beta, n, value)
     return table
 
 
 def standard_table(model: FanoModel, c1_max: int) -> GWTable:
-    """Curve-count table via the fastest validated route for the model."""
-    name = model.name
-    if name == "p2":
-        return nd_plane(max(1, c1_max // 3))
-    if name in ("p3", "q3"):
-        k = _FANO3[name][0]
-        return fano3_solve(name, max(1, c1_max // k))
-    if name == "p1":
-        table = GWTable(model, max(c1_max, 2))
-        table.add((1,), (), 1)
-        return table
+    """Curve-count table via the fastest validated route for the model.
+
+    A model whose data are those of p2, p3 or q3, under any name, gets its
+    dedicated recursion; any other model is solved from its own seeds.  The
+    table is always returned on the caller's model.
+    """
+    for space in ("p2", "p3", "q3"):
+        if model.same_data(builtin_model(space)):
+            d_max = max(1, c1_max // model.effective_c1[0])
+            table = nd_plane(d_max) if space == "p2" else fano3_solve(space, d_max)
+            return GWTable(model, table.c1_max, table.entries)
     return wdvv_solve(model, standard_seeds(model), c1_max)

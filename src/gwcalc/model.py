@@ -7,13 +7,14 @@ products, and the lattice of effective curve classes.  Effective classes are
 non-negative integer vectors in the basis dual to T_1..T_p; each generator
 carries its anticanonical degree, which is at least 2.
 
-Models carry no curve counts; those live in tables produced by the engine.
+Models carry only their seeds, the few counts the associativity equations
+start from; every other count lives in tables produced by the engine.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,11 @@ class FanoModel:
     pairing_inverse: tuple[tuple[Fraction, ...], ...]
     triples: dict[tuple[int, int, int], int]  # keyed by sorted index triple
     effective_c1: tuple[int, ...]  # anticanonical degree of each generator
+    seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()  # sorted (beta, n, value)
+
+    def same_data(self, other: "FanoModel") -> bool:
+        """Whether the two models agree in everything but their names."""
+        return replace(other, name=self.name) == self
 
     # -- basic structure ----------------------------------------------------
 
@@ -165,6 +171,9 @@ class FanoModel:
                 {"dual_divisor_index": i + 1, "c1_degree": c1}
                 for i, c1 in enumerate(self.effective_c1)
             ],
+            "seeds": [
+                {"class": list(b), "insertions": list(n), "value": v} for b, n, v in self.seeds
+            ],
         }
 
 
@@ -185,11 +194,13 @@ def _build_model(
     pairing: list[list[int]],
     triples: dict[tuple[int, int, int], int],
     effective: list[tuple[int, int]],
+    seeds: list[tuple[MultiIndex, MultiIndex, object]],
 ) -> FanoModel:
     """Assemble and validate a model from raw data.
 
     ``effective`` lists (dual_divisor_index, c1_degree) pairs; generators are
-    reordered so that generator i is dual to the divisor T_i.
+    reordered so that generator i is dual to the divisor T_i.  ``seeds`` lists
+    (beta, n, value) counts in the table-key convention of the engine.
     """
     names = tuple(n for n, _ in basis)
     codims = tuple(c for _, c in basis)
@@ -259,6 +270,21 @@ def _build_model(
         by_divisor[dual] = c1
     effective_c1 = tuple(by_divisor[i + 1] for i in range(p))
 
+    weights = tuple(c - 1 for c in codims[p + 1 :])
+    keys = [(beta, n) for beta, n, _ in seeds]
+    for key, (beta, n, value) in zip(keys, seeds):
+        if len(beta) != p or len(n) != len(weights):
+            raise ModelError(f"seed {key} needs {p} class and {len(weights)} insertion entries")
+        if not any(beta) or min(beta + n) < 0:
+            raise ModelError(f"seed {key} needs a non-zero class and non-negative entries")
+        c1 = sum(c * d for c, d in zip(effective_c1, beta))
+        if sum(w * e for w, e in zip(weights, n)) != dimension + c1 - 3:
+            raise ModelError(f"seed {key} violates the dimension constraint")
+        if type(value) is not int or value < 0:
+            raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
+        if keys.count(key) > 1:
+            raise ModelError(f"seed {key} appears twice")
+
     return FanoModel(
         name=name,
         dimension=dimension,
@@ -268,6 +294,7 @@ def _build_model(
         pairing_inverse=tuple(tuple(row) for row in inverse),
         triples=normalized,
         effective_c1=effective_c1,
+        seeds=tuple(sorted(seeds)),
     )
 
 
@@ -281,6 +308,7 @@ def _projective_space(r: int) -> FanoModel:
         for k in range(j, r + 1)
         if i + j + k == r
     }
+    point = (0,) * (r - 2) + (2,) if r > 1 else ()  # one line through two points
     return _build_model(
         name=f"p{r}" if r <= 9 else f"pr({r})",
         dimension=r,
@@ -288,6 +316,7 @@ def _projective_space(r: int) -> FanoModel:
         pairing=pairing,
         triples=triples,
         effective=[(1, r + 1)],
+        seeds=[((1,), point, 1)],
     )
 
 
@@ -308,6 +337,7 @@ def _quadric_threefold() -> FanoModel:
         pairing=pairing,
         triples=triples,
         effective=[(1, 3)],
+        seeds=[((1,), (1, 1), 1)],  # one line meets a line and a point
     )
 
 
@@ -327,6 +357,7 @@ def _product_of_lines() -> FanoModel:
         pairing=pairing,
         triples=triples,
         effective=[(1, 2), (2, 2)],
+        seeds=[((1, 0), (1,), 1), ((0, 1), (1,), 1)],  # one ruling line per point
     )
 
 
@@ -363,11 +394,15 @@ def model_from_dict(data: dict) -> FanoModel:
             (int(e["dual_divisor_index"]), int(e["c1_degree"]))
             for e in data["effective"]
         ]
+        seeds = [
+            (tuple(map(int, s["class"])), tuple(map(int, s["insertions"])), s["value"])
+            for s in data.get("seeds", [])
+        ]
         name = str(data.get("name", "user"))
         dimension = int(data["dimension"])
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
-    return _build_model(name, dimension, basis, pairing, triples, effective)
+    return _build_model(name, dimension, basis, pairing, triples, effective, seeds)
 
 
 def load_model(path: str | Path) -> FanoModel:

@@ -196,3 +196,86 @@ def test_csv_check_rows(capsys):
     )
     assert code == 0
     assert "check:residual-A1122,pass" in out
+
+
+def _renamed_file(tmp_path, builtin, name):
+    data = builtin_model(builtin).to_dict()
+    data["name"] = name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def _json_run(capsys, *argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    payload.pop("model")
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--dmax", "3", "--check"),
+        ("qring",),
+        ("verify", "--suite", "all", "--dmax", "3"),
+    ],
+)
+def test_plane_data_under_another_name(capsys, tmp_path, argv):
+    path = _renamed_file(tmp_path, "p2", "plane")
+    from_file = _json_run(capsys, *argv, "--model-file", str(path))
+    assert from_file == _json_run(capsys, *argv, "--model", "p2")
+    if argv[0] == "verify":
+        names = {check["name"] for check in from_file["checks"]}
+        assert {"plane-cubic-presentation", "pr2-product-rules", "boundary-equivalence-d3"} <= names
+
+
+def test_quadric_data_named_p3(capsys, tmp_path):
+    path = _renamed_file(tmp_path, "q3", "p3")
+    code, out, err = run(capsys, "verify", "--suite", "wdvv", "--model-file", str(path), "--dmax", "3")
+    assert code == 0, err
+    assert "FAIL" not in out and "PASS residual-A1133" in out
+    solve = ("solve", "--dmax", "3")
+    assert _json_run(capsys, *solve, "--model-file", str(path)) == _json_run(capsys, *solve, "--model", "q3")
+
+
+def test_seedless_model_file(capsys, tmp_path):
+    data = builtin_model("p2").to_dict()
+    del data["seeds"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "solve", "--model-file", str(path), "--dmax", "2")
+    assert code == 2
+    assert "seeds" in err
+
+
+def test_bad_seed_model_file(capsys, tmp_path):
+    data = builtin_model("p2").to_dict()
+    data["seeds"][0]["insertions"] = [3]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "qring", "--model-file", str(path))
+    assert code == 2
+    assert "dimension constraint" in err
+
+
+def test_verify_labels_the_resolved_model(capsys, tmp_path):
+    path = _renamed_file(tmp_path, "q3", "quadric")
+    code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--model-file", str(path), "--dmax", "1")
+    assert code == 0
+    assert out.startswith("verify on quadric ")
+    code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--model", "pr", "--r", "3", "--dmax", "1")
+    assert code == 0
+    assert out.startswith("verify on p3 ")
+    code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--dmax", "1")
+    assert code == 0
+    assert out.startswith("verify on p2 ")
+
+
+def test_fano3_check_runs_the_residual_sweep(capsys):
+    code, out, _ = run(capsys, "fano3", "--space", "q3", "--dmax", "4", "--check")
+    assert code == 0
+    assert "PASS canonical-equation-count: 6 classes" in out
+    assert out.count("PASS residual-A") == 6
+    assert "recursion-cross-validation" not in out

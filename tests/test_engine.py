@@ -1,9 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcalc import (
     GWTable,
+    ModelError,
     SolveError,
     TableDepthError,
     WdvvEquationId,
@@ -249,3 +253,37 @@ def test_standard_table_routes(p2, q3):
     assert table.get((1,), (0, 0, 2)) == 1
     assert table.get((1,), (1, 1, 1)) == 1
     assert table.get((1,), (0, 3, 0)) == 1
+
+
+@pytest.mark.parametrize("r", [10, 12])
+def test_standard_seeds_large_projective_spaces(r):
+    # a model named pr(r) once fell through the name-keyed seed table
+    model = builtin_model("pr", r=r)
+    point = (0,) * (r - 2) + (2,)
+    assert standard_seeds(model).entries == {((1,), point): 1}
+
+
+def test_standard_seeds_need_model_seeds(p2):
+    with pytest.raises(ModelError, match="carries no seeds"):
+        standard_seeds(replace(p2, seeds=()))
+
+
+_SPECS = [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("pr", 4)]
+
+
+@pytest.fixture(scope="module")
+def builtin_tables():
+    tables = {}
+    for spec in _SPECS:
+        model = builtin_model(*spec)
+        tables[spec] = standard_table(model, 2 * model.dimension).entries
+    return tables
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SPECS), st.text(max_size=8))
+def test_standard_table_ignores_the_name(builtin_tables, spec, name):
+    renamed = replace(builtin_model(*spec), name=name)
+    table = standard_table(renamed, 2 * renamed.dimension)
+    assert table.model is renamed
+    assert table.entries == builtin_tables[spec]

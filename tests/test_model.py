@@ -194,3 +194,54 @@ def test_dimension_constraint(p2, q3):
     assert not p2.dimension_matches((1,), (3,))
     assert q3.dimension_matches((2,), (2, 2))
     assert not q3.dimension_matches((2,), (2, 1))
+
+
+def test_builtin_seeds():
+    assert builtin_model("p1").seeds == (((1,), (), 1),)
+    assert builtin_model("pr", r=5).seeds == (((1,), (0, 0, 0, 2), 1),)
+    assert builtin_model("q3").seeds == (((1,), (1, 1), 1),)
+    assert builtin_model("p1xp1").seeds == (((0, 1), (1,), 1), ((1, 0), (1,), 1))
+
+
+def test_seedless_file_loads(p2):
+    data = p2.to_dict()
+    del data["seeds"]
+    model = model_from_dict(data)
+    assert model.seeds == ()
+    assert not model.same_data(p2)
+    assert model_from_dict(p2.to_dict()).same_data(p2)
+
+
+def test_same_data_ignores_only_the_name(p2, p3, q3):
+    data = q3.to_dict()
+    data["name"] = "p3"
+    renamed = model_from_dict(data)
+    assert renamed.same_data(q3) and q3.same_data(renamed)
+    assert renamed != q3
+    assert not renamed.same_data(p3)
+    assert not p2.same_data(builtin_model("p1xp1"))
+
+
+def _seed(beta, n, value=1):
+    return {"class": beta, "insertions": n, "value": value}
+
+
+@pytest.mark.parametrize(
+    "seeds, rule",
+    [
+        ([_seed([1, 0], [2])], "class and 1 insertion entries"),
+        ([_seed([1], [2, 0])], "class and 1 insertion entries"),
+        ([_seed([0], [2])], "non-zero class"),
+        ([_seed([2], [-1])], "non-negative entries"),
+        ([_seed([1], [3])], "dimension constraint"),
+        ([_seed([1], [2], -1)], "non-negative integer"),
+        ([_seed([1], [2], 1.5)], "non-negative integer"),
+        ([_seed([1], [2], "1")], "non-negative integer"),
+        ([_seed([1], [2]), _seed([1], [2])], "appears twice"),
+    ],
+)
+def test_bad_seed_rejected(p2, seeds, rule):
+    data = p2.to_dict()
+    data["seeds"] = seeds
+    with pytest.raises(ModelError, match=rule):
+        model_from_dict(data)
