@@ -33,7 +33,7 @@ from .engine import (
     wdvv_solve,
 )
 from .model import FanoModel, ModelError, builtin_model, load_model
-from .potential import build_potential, wdvv_residual
+from .potential import PotentialBundle, build_potential, wdvv_residual
 from .qring import (
     big_associator,
     big_product,
@@ -182,7 +182,8 @@ def _cmd_fano3(config: RunConfig) -> Report:
     report = Report(config.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
     if config.check:
         # the associativity residuals are a second route to the same numbers
-        report.checks.extend(_wdvv_checks(table.model, table, config.trunc))
+        bundle = build_potential(table.model, table, table.c1_max, config.trunc)
+        report.checks.extend(_wdvv_checks(bundle))
     return report
 
 
@@ -221,7 +222,8 @@ def _cmd_solve(config: RunConfig) -> Report:
         model.name, "solve", {"dmax": d_max, "c1max": c1_max}, names, _table_rows(table)
     )
     if config.check:
-        report.checks.extend(_wdvv_checks(model, table, config.trunc))
+        bundle = build_potential(model, table, table.c1_max, config.trunc)
+        report.checks.extend(_wdvv_checks(bundle))
     return report
 
 
@@ -245,11 +247,11 @@ def _cmd_qring(config: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _wdvv_checks(model: FanoModel, table: GWTable, trunc: int | None):
+def _wdvv_checks(bundle: PotentialBundle):
     checks = []
-    bundle = build_potential(model, table, table.c1_max, trunc)
-    equations = wdvv_canonical_equations(model.top_index)
-    expected = wdvv_count(model.top_index)
+    top_index = bundle.model.top_index
+    equations = wdvv_canonical_equations(top_index)
+    expected = wdvv_count(top_index)
     checks.append(
         (
             "canonical-equation-count",
@@ -270,9 +272,9 @@ def _wdvv_checks(model: FanoModel, table: GWTable, trunc: int | None):
     return checks
 
 
-def _ring_checks(model: FanoModel, table: GWTable, trunc: int | None):
+def _ring_checks(bundle: PotentialBundle):
     checks = []
-    bundle = build_potential(model, table, table.c1_max, trunc)
+    model = bundle.model
     rank = model.rank
     unit_ok = all(
         big_product(bundle, 0, j)[f].coeffs
@@ -469,12 +471,13 @@ def _cmd_verify(config: RunConfig) -> Report:
 
     model = _resolve_model(config) if config.model or config.model_file else builtin_model("p2")
     report = Report(model.name, "verify", bounds, [])
+    if config.suite in {"wdvv", "rings", "all"}:
+        table = standard_table(model, _solve_c1_max(model, d_max))
+        bundle = build_potential(model, table, table.c1_max, config.trunc)
     if config.suite in {"wdvv", "all"}:
-        table = standard_table(model, _solve_c1_max(model, d_max))
-        report.checks.extend(_wdvv_checks(model, table, config.trunc))
+        report.checks.extend(_wdvv_checks(bundle))
     if config.suite in {"rings", "all"}:
-        table = standard_table(model, _solve_c1_max(model, d_max))
-        report.checks.extend(_ring_checks(model, table, config.trunc))
+        report.checks.extend(_ring_checks(bundle))
         if 1 <= model.dimension <= 4 and model.same_data(builtin_model("pr", r=model.dimension)):
             report.checks.extend(_pr_checks(model.dimension))
     plane = model.same_data(builtin_model("p2"))
@@ -547,6 +550,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact counts can pass the 4300-digit cap that Python 3.10.7+ puts on
+    # int -> str conversion.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     config = RunConfig(

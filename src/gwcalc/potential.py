@@ -23,14 +23,28 @@ from .model import FanoModel
 from .series import GWSeries, MultiIndex, NO_LIMIT, SeriesBounds, class_splits, series_partial
 
 
+# Expansion of a big-ring element over the model's basis: index -> series.
+Expansion = dict[int, GWSeries]
+
+
 @dataclass
 class PotentialBundle:
-    """A model's truncated potential plus a cache of its third partials."""
+    """A model's truncated potential plus caches of what is derived from it.
+
+    ``_phi`` holds the third partials, keyed by the sorted index triple.
+    ``_products`` holds the big-ring products T_i * T_j, keyed by the ordered
+    pair, so the two orders are still built separately.  ``_left`` holds the
+    left products (T_i * T_j) * T_k of the associator sweep, keyed by the
+    ordered triple; ``qring`` fills it.  Cached expansions are shared;
+    ``qring.big_product`` hands out copies.
+    """
 
     model: FanoModel
     bounds: SeriesBounds
     gamma: GWSeries
     _phi: dict[tuple[int, int, int], GWSeries] = field(default_factory=dict)
+    _products: dict[tuple[int, int], Expansion] = field(default_factory=dict)
+    _left: dict[tuple[int, int, int], Expansion] = field(default_factory=dict)
 
     def phi(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the full potential, classical part included.
@@ -51,6 +65,17 @@ class PotentialBundle:
             series = constant + series
         self._phi[key] = series
         return series
+
+    def product(self, i: int, j: int) -> Expansion:
+        """Expansion of T_i * T_j over the basis; the cached dict itself."""
+        cached = self._products.get((i, j))
+        if cached is not None:
+            return cached
+        out: Expansion = {f: GWSeries.zero(self.bounds) for f in range(self.model.rank)}
+        for e, f, gef in self.model.g_inv_pairs():
+            out[f] = out[f] + self.phi(i, j, e).scale(gef)
+        self._products[(i, j)] = out
+        return out
 
     def gamma_partial(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the quantum part alone."""

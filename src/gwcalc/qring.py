@@ -20,10 +20,8 @@ from typing import Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .potential import PotentialBundle, glue_sum
+from .potential import Expansion, PotentialBundle, glue_sum
 from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
-
-Expansion = dict[int, GWSeries]
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +30,11 @@ Expansion = dict[int, GWSeries]
 
 
 def big_product(bundle: PotentialBundle, i: int, j: int) -> Expansion:
-    """Expansion of T_i * T_j over the basis, with series coefficients."""
-    model = bundle.model
-    out: Expansion = {f: GWSeries.zero(bundle.bounds) for f in range(model.rank)}
-    for e, f, gef in model.g_inv_pairs():
-        out[f] = out[f] + bundle.phi(i, j, e).scale(gef)
-    return out
+    """Expansion of T_i * T_j over the basis, with series coefficients.
+
+    Built once per bundle; each call returns a fresh dict.
+    """
+    return dict(bundle.product(i, j))
 
 
 def _star_expansion(bundle: PotentialBundle, expansion: Expansion, k: int) -> Expansion:
@@ -47,15 +44,28 @@ def _star_expansion(bundle: PotentialBundle, expansion: Expansion, k: int) -> Ex
     for e, coeff in expansion.items():
         if coeff.is_zero():
             continue
-        for f, factor in big_product(bundle, e, k).items():
+        for f, factor in bundle.product(e, k).items():
             out[f] = out[f] + coeff * factor
     return out
 
 
+def _left_product(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion:
+    """(T_i * T_j) * T_k, built once per bundle."""
+    key = (i, j, k)
+    cached = bundle._left.get(key)
+    if cached is None:
+        cached = bundle._left[key] = _star_expansion(bundle, bundle.product(i, j), k)
+    return cached
+
+
 def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion:
-    """(T_i * T_j) * T_k - T_i * (T_j * T_k), coefficient by coefficient."""
-    left = _star_expansion(bundle, big_product(bundle, i, j), k)
-    rights = _star_expansion(bundle, big_product(bundle, j, k), i)
+    """(T_i * T_j) * T_k - T_i * (T_j * T_k), coefficient by coefficient.
+
+    The right side is the left product (T_j * T_k) * T_i, so across a sweep
+    of all triples each left product is built once.
+    """
+    left = _left_product(bundle, i, j, k)
+    rights = _left_product(bundle, j, k, i)
     return {f: left[f] - rights[f] for f in left}
 
 
@@ -444,7 +454,7 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
     g111 = bundle.gamma_partial(1, 1, 1)
     g112 = bundle.gamma_partial(1, 1, 2)
     g122 = bundle.gamma_partial(1, 2, 2)
-    pow2 = big_product(bundle, 1, 1)
+    pow2 = bundle.product(1, 1)
     pow3 = _star_expansion(bundle, pow2, 1)
     residuals: Expansion = {}
     for f in range(model.rank):

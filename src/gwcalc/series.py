@@ -225,7 +225,7 @@ class GWSeries:
         return sorted(k for k in self.coeffs if self.in_complete_region(k))
 
     def is_zero_on_complete(self) -> bool:
-        return not self.nonzero_complete_keys()
+        return not any(self.in_complete_region(k) for k in self.coeffs)
 
     def terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.coeffs.items())
@@ -271,16 +271,30 @@ class GWSeries:
 
         The coefficient at (beta, n) is the convolution over beta = b1 + b2,
         n = n1 + n2 weighted by the per-variable binomials C(n_i, n1_i).
+        Both degrees add, so the right factor's terms are sorted by
+        (c1-degree, total degree) and each left term meets only the pairs
+        that land inside the bounds.
         """
         self._require_same_bounds(other)
         bounds = self.bounds
+        right = sorted(
+            (
+                (bounds.c1_degree(b2), total_degree(n2), b2, n2, v2)
+                for (b2, n2), v2 in other.coeffs.items()
+            ),
+            key=lambda term: term[:2],
+        )
         coeffs: dict[Key, Fraction] = {}
         for (b1, n1), v1 in self.coeffs.items():
-            for (b2, n2), v2 in other.coeffs.items():
+            c1_budget = bounds.max_c1 - bounds.c1_degree(b1)
+            total_budget = bounds.max_total - total_degree(n1)
+            for c1, total, b2, n2, v2 in right:
+                if c1 > c1_budget:
+                    break
+                if total > total_budget:
+                    continue
                 beta = index_add(b1, b2)
                 n = index_add(n1, n2)
-                if not bounds.in_bounds(beta, n):
-                    continue
                 weight = split_binomial(n, n1)
                 acc = coeffs.get((beta, n), Fraction(0)) + v1 * v2 * weight
                 if acc:

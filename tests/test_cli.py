@@ -2,11 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
-from gwcalc import builtin_model, save_model
-from gwcalc.cli import main
+from gwcalc import builtin_model, cli, save_model
+from gwcalc.cli import Report, main
 
 
 def run(capsys, *argv):
@@ -279,3 +280,19 @@ def test_fano3_check_runs_the_residual_sweep(capsys):
     assert "PASS canonical-equation-count: 6 classes" in out
     assert out.count("PASS residual-A") == 6
     assert "recursion-cross-validation" not in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_render_integers_past_the_digit_limit(capsys, monkeypatch, fmt):
+    # Python caps int -> str conversion at 4300 digits by default; nd --dmax
+    # 572 reaches that length but takes about 16 s, so a 5000-digit row stands in
+    digits = "7" + "0" * 4998 + "1"
+    report = Report("p2", "nd", {"dmax": 1}, ["d"], [((1,), 7 * 10**4999 + 1)])
+    monkeypatch.setitem(cli._HANDLERS, "nd", lambda config: report)
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out, _ = run(capsys, "nd", "--dmax", "1", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert digits in out

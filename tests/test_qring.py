@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from gwcalc import (
     GWTable,
+    PotentialBundle,
     big_associator,
     big_product,
     big_ring,
@@ -14,10 +16,12 @@ from gwcalc import (
     gw_invariant,
     pr_presentation,
     presentation_from_big,
+    qring,
     s_r_determinant,
     small_ring,
     standard_table,
 )
+from gwcalc.cli import _ring_checks
 from gwcalc.series import GWSeries, GradedPoly
 
 
@@ -116,6 +120,47 @@ def test_big_ring_collects_constants(plane_potential):
     assert ring.kind == "big"
     assert set(ring.constants) == {(i, j) for i in range(3) for j in range(i, 3)}
     assert ring.product(1, 1)[2] == GWSeries.constant(plane_potential.bounds, 1)
+
+
+# -- products and associators cached on the bundle ---------------------------
+
+
+def _uncached(bundle):
+    return PotentialBundle(bundle.model, bundle.bounds, bundle.gamma)
+
+
+@pytest.mark.parametrize("name", ["plane_potential", "p3_potential", "q3_potential"])
+def test_cached_products_match_uncached_bundles(request, name):
+    bundle = request.getfixturevalue(name)
+    indices = range(bundle.model.rank)
+    for i, j in itertools.product(indices, repeat=2):
+        assert big_product(bundle, i, j) == big_product(_uncached(bundle), i, j)
+    for i, j, k in itertools.product(indices, repeat=3):
+        assert big_associator(bundle, i, j, k) == big_associator(_uncached(bundle), i, j, k)
+
+
+def test_big_product_returns_a_fresh_dict(plane_potential):
+    bundle = _uncached(plane_potential)
+    first = big_product(bundle, 1, 1)
+    expected = dict(first)
+    first[0] = GWSeries.constant(bundle.bounds, 5)
+    del first[2]
+    assert big_product(bundle, 1, 1) == expected
+    assert big_associator(bundle, 1, 1, 2) == big_associator(_uncached(bundle), 1, 1, 2)
+
+
+def test_ring_checks_build_each_left_product_once(monkeypatch, p3_potential):
+    calls = []
+    star = qring._star_expansion
+
+    def counting(*args):
+        calls.append(args[2])
+        return star(*args)
+
+    monkeypatch.setattr(qring, "_star_expansion", counting)
+    checks = _ring_checks(_uncached(p3_potential))
+    assert all(ok for _, ok, _ in checks)
+    assert len(calls) <= (p3_potential.model.rank - 1) ** 3
 
 
 # -- the cubic satisfied by the plane's hyperplane class ----------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcalc.series import (
+    NO_LIMIT,
     GWSeries,
     GradedPoly,
     SeriesBounds,
@@ -179,6 +181,55 @@ def test_divided_power_matches_naive_product(a, b):
         return
     expected = _naive_mul(_to_naive(a), _to_naive(b), BOUNDS2)
     assert _to_naive(a * b) == expected
+
+
+@st.composite
+def bounded_factors(draw):
+    """Random bounds and two sparse series over them, with keys drawn often
+    from the edge of the bounds and random completeness frontiers."""
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    bounds = SeriesBounds(
+        beta_weights=weights,
+        max_c1=draw(st.integers(0, 7)),
+        n_vars=draw(st.integers(0, 2)),
+        max_total=draw(st.integers(0, 4)),
+    )
+    keys = [
+        (beta, n)
+        for beta in itertools.product(*(range(bounds.max_c1 // w + 1) for w in weights))
+        for n in itertools.product(range(bounds.max_total + 1), repeat=bounds.n_vars)
+        if bounds.in_bounds(beta, n)
+    ]
+    # keys that no further class step, or no further variable, keeps in bounds
+    edge = [
+        (beta, n)
+        for beta, n in keys
+        if bounds.c1_degree(beta) + min(weights) > bounds.max_c1
+        or (n and sum(n) == bounds.max_total)
+    ]
+    key = st.sampled_from(edge) | st.sampled_from(keys)
+    value = st.fractions(-6, 6, max_denominator=5)
+
+    def factor():
+        return GWSeries.build(
+            bounds,
+            draw(st.dictionaries(key, value, max_size=8)),
+            draw(st.none() | st.just(NO_LIMIT) | st.integers(0, bounds.max_c1)),
+            draw(st.none() | st.just(NO_LIMIT) | st.integers(0, bounds.max_total)),
+        )
+
+    return bounds, factor(), factor()
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_factors())
+def test_budgeted_product_matches_all_pairs(case):
+    bounds, a, b = case
+    product = a * b
+    assert _to_naive(product) == _naive_mul(_to_naive(a), _to_naive(b), bounds)
+    assert all(type(v) is Fraction for v in product.coeffs.values())
+    assert product.complete_c1 == min(a.complete_c1, b.complete_c1, bounds.max_c1)
+    assert product.complete_total == min(a.complete_total, b.complete_total, bounds.max_total)
 
 
 # -- graded polynomials ------------------------------------------------------
