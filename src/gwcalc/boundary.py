@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GWTable
-from .series import MultiIndex, binomial_z, class_splits
+from .series import MultiIndex, binomial_row, class_splits
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,9 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
     the degree-d count from the datum whose line-markings split off with the
     zero class, plus reducible data weighted d1^3 d2; the other side only
     sees reducible data weighted d1^2 d2^2.  The partition counts are the
-    binomials over the 3d - 4 interior markings.
+    binomials C(3d - 4, 3d1 - 1) and C(3d - 4, 3d1 - 2) over the 3d - 4
+    interior markings; each item and its label read them from one binomial
+    row of 3d - 4.
     """
     if d < 2:
         raise ValueError("the equivalence is used for degree at least 2")
@@ -150,23 +152,23 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
         return table.get((degree,), (3 * degree - 1,))
 
     n = 3 * d
+    row = binomial_row(3 * d - 4)
     lhs_items: list[tuple[str, int]] = [("contracted side through the two line markings", count_of(d))]
     rhs_items: list[tuple[str, int]] = []
     for d1 in range(1, d):
         d2 = d - d1
         pair = count_of(d1) * count_of(d2)
+        lhs_partitions, rhs_partitions = row[3 * d1 - 1], row[3 * d1 - 2]
         lhs_items.append(
             (
-                f"split {d1}+{d2}, {binomial_z(3 * d - 4, 3 * d1 - 1)} partitions "
-                f"of weight {d1 ** 3 * d2}",
-                pair * d1 ** 3 * d2 * binomial_z(3 * d - 4, 3 * d1 - 1),
+                f"split {d1}+{d2}, {lhs_partitions} partitions of weight {d1 ** 3 * d2}",
+                pair * (d1 ** 3 * d2 * lhs_partitions),
             )
         )
         rhs_items.append(
             (
-                f"split {d1}+{d2}, {binomial_z(3 * d - 4, 3 * d1 - 2)} partitions "
-                f"of weight {d1 ** 2 * d2 ** 2}",
-                pair * d1 ** 2 * d2 ** 2 * binomial_z(3 * d - 4, 3 * d1 - 2),
+                f"split {d1}+{d2}, {rhs_partitions} partitions of weight {d1 ** 2 * d2 ** 2}",
+                pair * (d1 ** 2 * d2 ** 2 * rhs_partitions),
             )
         )
     return IntersectionCounts(

@@ -276,19 +276,19 @@ def _ring_checks(bundle: PotentialBundle):
     checks = []
     model = bundle.model
     rank = model.rank
-    unit_ok = all(
-        big_product(bundle, 0, j)[f].coeffs
-        == ({((0,) * model.divisor_count, (0,) * len(model.nondivisor_indices)): 1} if f == j else {})
-        for j in range(rank)
-        for f in range(rank)
-    )
+    one = {((0,) * model.divisor_count, (0,) * len(model.nondivisor_indices)): 1}
+    unit_ok = True
+    for j in range(rank):
+        product = big_product(bundle, 0, j)
+        unit_ok = unit_ok and all(
+            product[f].coeffs == (one if f == j else {}) for f in range(rank)
+        )
     checks.append(("big-unit", unit_ok, "T0 is a two-sided unit"))
-    comm_ok = all(
-        big_product(bundle, i, j)[f].coeffs == big_product(bundle, j, i)[f].coeffs
-        for i in range(rank)
-        for j in range(rank)
-        for f in range(rank)
-    )
+    comm_ok = True
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            left, right = big_product(bundle, i, j), big_product(bundle, j, i)
+            comm_ok = comm_ok and all(left[f].coeffs == right[f].coeffs for f in range(rank))
     checks.append(("big-commutative", comm_ok, "all pairs"))
     assoc_ok = True
     worst = ""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import FanoModel, ModelError, builtin_model
-from .series import MultiIndex, binomial_z, compositions, row_reduce
+from .series import MultiIndex, binomial_row, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
 
@@ -146,12 +146,12 @@ def nd_plane_numbers(d_max: int) -> dict[int, int]:
         raise ValueError("d_max must be at least 1")
     counts = {1: 1}
     for d in range(2, d_max + 1):
+        row = binomial_row(3 * d - 4)
         total = 0
         for d1 in range(1, d):
             d2 = d - d1
             total += counts[d1] * counts[d2] * (
-                d1 * d1 * d2 * d2 * binomial_z(3 * d - 4, 3 * d1 - 2)
-                - d1 ** 3 * d2 * binomial_z(3 * d - 4, 3 * d1 - 1)
+                d1 * d1 * d2 * d2 * row[3 * d1 - 2] - d1 ** 3 * d2 * row[3 * d1 - 1]
             )
         counts[d] = total
     return counts
@@ -180,74 +180,65 @@ def _fano3_data(space: str) -> tuple[FanoModel, int, int, tuple[int, int]]:
     return model, model.effective_c1[0], model.triple(1, 1, 1), seed
 
 
-def _fano3_rhs(
-    rec: int, a: int, b: int, k: int, known: Mapping[tuple[int, int], int]
-) -> int:
-    """Right-hand side of recursion ``rec`` at (a, b); sums over splittings
-    into strictly lower degrees, which must already be in ``known``."""
+def _fano3_sums(
+    a: int, b: int, k: int, known: Mapping[tuple[int, int], int], rows: Mapping[int, list[int]]
+) -> tuple[int, int, int, int, int, int]:
+    """Right-hand sides of recursions (1)-(6) at (a, b), in one pass.
+
+    Each sums N_{a1,b1} N_{a-a1,b-b1} times a binomial weight over the
+    splittings a1 + 2 b1 = k d1 with 0 < d1 < d, so it reads only strictly
+    lower degrees, which must already be in ``known``.  ``rows[n]`` is the
+    binomial row of n between two zeros in front and three behind: C(n, m),
+    zero-extended, is ``rows[n][m + 2]`` for -2 <= m <= n + 3.
+    """
     d = (a + 2 * b) // k
-    total = 0
-    for a1 in range(a + 1):
-        for b1 in range(b + 1):
-            weight = a1 + 2 * b1
-            if weight % k or weight == 0 or weight == k * d:
-                continue
-            d1 = weight // k
-            d2 = d - d1
+    ra3, ra2, ra1 = rows[a - 3], rows[a - 2], rows[a - 1]
+    rb2, rb1, rb0 = rows[b - 2], rows[b - 1], rows[b]
+    s1 = s2 = s3 = s4 = s5 = s6 = 0
+    for d1 in range(1, d):
+        d2 = d - d1
+        cube, square, square_d2 = d1 ** 3, d1 * d1, d1 * d1 * d2
+        weight = k * d1
+        for a1 in range(max(weight % 2, weight - 2 * b), min(a, weight) + 1, 2):
+            b1 = (weight - a1) // 2
             pair = known[(a1, b1)] * known[(a - a1, b - b1)]
             if pair == 0:
                 continue
-            if rec == 1:
-                w = binomial_z(b, b1) * (
-                    d1 ** 3 * binomial_z(a - 3, a1)
-                    - d1 * d1 * d2 * binomial_z(a - 3, a1 - 1)
-                )
-            elif rec == 2:
-                w = binomial_z(a - 2, a1) * (
-                    d1 ** 3 * binomial_z(b - 1, b1)
-                    - d1 * d1 * d2 * binomial_z(b - 1, b1 - 1)
-                )
-            elif rec == 3:
-                w = (
-                    2 * d1 * d1 * d2 * binomial_z(a - 1, a1) * binomial_z(b - 2, b1 - 1)
-                    - d1 * d1 * d2 * binomial_z(a - 1, a1 - 1) * binomial_z(b - 2, b1)
-                    - d1 ** 3 * binomial_z(a - 1, a1) * binomial_z(b - 2, b1)
-                )
-            elif rec == 4:
-                w = d1 * d1 * (
-                    binomial_z(a - 3, a1) * binomial_z(b - 1, b1 - 1)
-                    - binomial_z(a - 3, a1 - 1) * binomial_z(b - 1, b1)
-                )
-            elif rec == 5:
-                w = (
-                    d1 * d2 * binomial_z(a - 2, a1 - 1) * binomial_z(b - 2, b1 - 1)
-                    - d1 * d2 * binomial_z(a - 2, a1 - 2) * binomial_z(b - 2, b1)
-                    + d1 * d1 * binomial_z(a - 2, a1) * binomial_z(b - 2, b1 - 1)
-                    - d1 * d1 * binomial_z(a - 2, a1 - 1) * binomial_z(b - 2, b1)
-                )
-            elif rec == 6:
-                w = d1 * (
-                    binomial_z(a - 3, a1) * binomial_z(b - 2, b1 - 2)
-                    - 2 * binomial_z(a - 3, a1 - 1) * binomial_z(b - 2, b1 - 1)
-                    + binomial_z(a - 3, a1 - 2) * binomial_z(b - 2, b1)
-                )
-            else:
-                raise ValueError(f"no recursion {rec}")
-            total += pair * w
-    return total
+            # C(a - 3, a1 - m) is ra3[i - m], C(b - 2, b1 - m) is rb2[j - m]
+            i, j = a1 + 2, b1 + 2
+            s1 += pair * (rb0[j] * (cube * ra3[i] - square_d2 * ra3[i - 1]))
+            s2 += pair * (ra2[i] * (cube * rb1[j] - square_d2 * rb1[j - 1]))
+            s3 += pair * (
+                2 * square_d2 * ra1[i] * rb2[j - 1]
+                - square_d2 * ra1[i - 1] * rb2[j]
+                - cube * ra1[i] * rb2[j]
+            )
+            s4 += pair * (square * (ra3[i] * rb1[j - 1] - ra3[i - 1] * rb1[j]))
+            s5 += pair * (
+                d1 * d2 * (ra2[i - 1] * rb2[j - 1] - ra2[i - 2] * rb2[j])
+                + square * (ra2[i] * rb2[j - 1] - ra2[i - 1] * rb2[j])
+            )
+            s6 += pair * (d1 * (
+                ra3[i] * rb2[j - 2] - 2 * ra3[i - 1] * rb2[j - 1] + ra3[i - 2] * rb2[j]
+            ))
+    return s1, s2, s3, s4, s5, s6
 
 
 def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     """All counts N_{a,b} with a + 2b = k*d, d <= d_max, for p3 or q3.
 
     N_{a,b} counts degree-d rational curves meeting a general lines and b
-    general points.  Every value is derived from at least one recursion and
-    afterwards checked against every applicable one.
+    general points.  Degree by degree, the six recursion sums are computed
+    once for every point of the degree, since they read only lower degrees.
+    Every value is derived from at least one recursion, and once the degree
+    is filled every applicable recursion instance is checked against the
+    same sums, so the finished table satisfies all of them.
     """
     _, k, c, seed = _fano3_data(space)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     known: dict[tuple[int, int], int] = {seed: 1}
+    rows = {n: [0, 0, *binomial_row(n), 0, 0, 0] for n in range(-3, k * d_max)}
 
     def record(target: tuple[int, int], value: Fraction, route: str) -> None:
         if value.denominator != 1:
@@ -263,35 +254,35 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
 
     for d in range(1, d_max + 1):
         targets = [(a, (k * d - a) // 2) for a in range(k * d % 2, k * d + 1, 2)]
+        sums = {(a, b): _fano3_sums(a, b, k, known, rows) for a, b in targets}
         missing = [t for t in targets if t not in known]
         while missing:
             progressed = False
             for a, b in list(missing):
+                # here[r - 1] is the sum of recursion (r) at (a, b); over holds
+                # the sums at (a + 2, b - 1), one point traded for two lines
+                here, over = sums[(a, b)], sums.get((a + 2, b - 1))
                 got = False
                 # Direct forms: each determines one value from lower degrees.
                 if a >= 1 and b >= 2:
-                    record((a, b), Fraction(_fano3_rhs(3, a, b, k, known), c), "(3)")
-                    record((a, b), Fraction(_fano3_rhs(4, a + 2, b - 1, k, known)), "(4)")
+                    record((a, b), Fraction(here[2], c), "(3)")
+                    record((a, b), Fraction(over[3]), "(4)")
                     got = True
                 if b >= 3:
-                    record((a, b), Fraction(_fano3_rhs(5, a + 2, b - 1, k, known)), "(5)")
+                    record((a, b), Fraction(over[4]), "(5)")
                     got = True
                 # Two-term forms, usable once the partner value is known.
                 if a >= 2 and b >= 1 and (a - 2, b + 1) in known:
-                    rhs = _fano3_rhs(2, a, b, k, known)
-                    record((a, b), Fraction(d * known[(a - 2, b + 1)] - rhs, c), "(2)")
+                    record((a, b), Fraction(d * known[(a - 2, b + 1)] - here[1], c), "(2)")
                     got = True
                 if b >= 2 and (a + 2, b - 1) in known:
-                    rhs = _fano3_rhs(2, a + 2, b - 1, k, known)
-                    record((a, b), Fraction(rhs + c * known[(a + 2, b - 1)], d), "(2')")
+                    record((a, b), Fraction(over[1] + c * known[(a + 2, b - 1)], d), "(2')")
                     got = True
                 if a >= 3 and (a - 2, b + 1) in known:
-                    rhs = _fano3_rhs(1, a, b, k, known)
-                    record((a, b), Fraction(2 * d * known[(a - 2, b + 1)] - rhs, c), "(1)")
+                    record((a, b), Fraction(2 * d * known[(a - 2, b + 1)] - here[0], c), "(1)")
                     got = True
                 if a >= 1 and b >= 1 and (a + 2, b - 1) in known:
-                    rhs = _fano3_rhs(1, a + 2, b - 1, k, known)
-                    record((a, b), Fraction(rhs + c * known[(a + 2, b - 1)], 2 * d), "(1')")
+                    record((a, b), Fraction(over[0] + c * known[(a + 2, b - 1)], 2 * d), "(1')")
                     got = True
                 if got:
                     missing.remove((a, b))
@@ -301,39 +292,40 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
                     f"{space}: counts {missing} at degree {d} are unreachable "
                     "by the recursions"
                 )
-
-    _fano3_cross_validate(space, d_max, known)
+        _fano3_check(space, d, c, known, sums)
     return known
 
 
-def _fano3_cross_validate(
-    space: str, d_max: int, known: Mapping[tuple[int, int], int]
-) -> None:
-    """Check every applicable recursion instance on the finished table."""
-    _, k, c, _ = _fano3_data(space)
-    for d in range(1, d_max + 1):
-        for a in range(k * d % 2, k * d + 1, 2):
-            b = (k * d - a) // 2
-            up = known.get((a - 2, b + 1))
-            checks: list[tuple[str, int, int]] = []
-            if a >= 3:
-                checks.append(("(1)", 2 * d * up - c * known[(a, b)], _fano3_rhs(1, a, b, k, known)))
-            if a >= 2 and b >= 1:
-                checks.append(("(2)", d * up - c * known[(a, b)], _fano3_rhs(2, a, b, k, known)))
-            if a >= 1 and b >= 2:
-                checks.append(("(3)", c * known[(a, b)], _fano3_rhs(3, a, b, k, known)))
-            if a >= 3 and b >= 1:
-                checks.append(("(4)", up, _fano3_rhs(4, a, b, k, known)))
-            if a >= 2 and b >= 2:
-                checks.append(("(5)", up, _fano3_rhs(5, a, b, k, known)))
-            if a >= 3 and b >= 2:
-                checks.append(("(6)", 0, _fano3_rhs(6, a, b, k, known)))
-            for label, lhs, rhs in checks:
-                if lhs != rhs:
-                    raise SolveError(
-                        f"{space}: recursion {label} fails at (a,b)=({a},{b}): "
-                        f"{lhs} != {rhs}"
-                    )
+def _fano3_check(
+    space: str, d: int, c: int, known: Mapping[tuple[int, int], int], sums: Mapping
+) -> int:
+    """Check every applicable recursion instance at the filled degree d
+    against that degree's sums; returns the number of instances checked."""
+    checked = 0
+    for (a, b), (s1, s2, s3, s4, s5, s6) in sums.items():
+        value = known[(a, b)]
+        up = known.get((a - 2, b + 1))
+        checks: list[tuple[str, int, int]] = []
+        if a >= 3:
+            checks.append(("(1)", 2 * d * up - c * value, s1))
+        if a >= 2 and b >= 1:
+            checks.append(("(2)", d * up - c * value, s2))
+        if a >= 1 and b >= 2:
+            checks.append(("(3)", c * value, s3))
+        if a >= 3 and b >= 1:
+            checks.append(("(4)", up, s4))
+        if a >= 2 and b >= 2:
+            checks.append(("(5)", up, s5))
+        if a >= 3 and b >= 2:
+            checks.append(("(6)", 0, s6))
+        for label, lhs, rhs in checks:
+            if lhs != rhs:
+                raise SolveError(
+                    f"{space}: recursion {label} fails at (a,b)=({a},{b}): "
+                    f"{lhs} != {rhs}"
+                )
+        checked += len(checks)
+    return checked
 
 
 def fano3_solve(space: str, d_max: int) -> GWTable:

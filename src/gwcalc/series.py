@@ -50,6 +50,20 @@ def binomial_z(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
+def binomial_row(n: int) -> list[int]:
+    """The row C(n, 0), ..., C(n, n), empty for n < 0.
+
+    Built by C(n, m+1) = C(n, m) * (n - m) / (m + 1), where every division is
+    exact, and mirrored by C(n, n-m) = C(n, m); so a kernel that reads many
+    binomials with the same n pays for one row instead of one ``math.comb``
+    per read.
+    """
+    row = [1] * (n + 1)
+    for m in range(n // 2):
+        row[m + 1] = row[n - m - 1] = row[m] * (n - m) // (m + 1)
+    return row
+
+
 def total_degree(n: MultiIndex) -> int:
     """Total degree of a multi-index."""
     return sum(n)

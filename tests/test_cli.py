@@ -128,6 +128,29 @@ def test_solve_json_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("nd", "--dmax", "60", "--check"),
+            "9699644baa3680a6def453a85b1d1d50e6b1ffa8e785cf6c0beb89aaacf410c6",
+        ),
+        (
+            ("fano3", "--space", "q3", "--dmax", "10"),
+            "d7d8eb4c4823121def3a490effe5d6b1abbe96dbb144a4b3d564a8aef0465443",
+        ),
+        (
+            ("fano3", "--space", "p3", "--dmax", "8", "--check"),
+            "1f27ac2e6127ecd7b30d75c45cc7fcf60404a1d712f954f3d0b6d381c526bdb0",
+        ),
+    ],
+)
+def test_recursion_json_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_qring_plane(capsys):
     code, out, _ = run(capsys, "qring", "--model", "p2", "--format", "json")
     assert code == 0

@@ -23,6 +23,7 @@ from gwcalc import (
     wdvv_count,
     wdvv_solve,
 )
+from gwcalc import engine
 from gwcalc.series import binomial_z
 
 PLANE_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
@@ -86,6 +87,135 @@ def test_fano3_table_keys(q3_table):
     for (beta, (a, b)), value in q3_table.entries.items():
         assert a + 2 * b == 3 * beta[0]
         assert value >= 0
+
+
+def _oracle_rhs(rec, a, b, k, known):
+    """One recursion's sum at (a, b), written out per recursion over the
+    whole a1 x b1 grid, as an independent route to the one-pass sums."""
+    d = (a + 2 * b) // k
+    total = 0
+    for a1 in range(a + 1):
+        for b1 in range(b + 1):
+            weight = a1 + 2 * b1
+            if weight % k or weight == 0 or weight == k * d:
+                continue
+            d1 = weight // k
+            d2 = d - d1
+            pair = known[(a1, b1)] * known[(a - a1, b - b1)]
+            if pair == 0:
+                continue
+            if rec == 1:
+                w = binomial_z(b, b1) * (
+                    d1 ** 3 * binomial_z(a - 3, a1)
+                    - d1 * d1 * d2 * binomial_z(a - 3, a1 - 1)
+                )
+            elif rec == 2:
+                w = binomial_z(a - 2, a1) * (
+                    d1 ** 3 * binomial_z(b - 1, b1)
+                    - d1 * d1 * d2 * binomial_z(b - 1, b1 - 1)
+                )
+            elif rec == 3:
+                w = (
+                    2 * d1 * d1 * d2 * binomial_z(a - 1, a1) * binomial_z(b - 2, b1 - 1)
+                    - d1 * d1 * d2 * binomial_z(a - 1, a1 - 1) * binomial_z(b - 2, b1)
+                    - d1 ** 3 * binomial_z(a - 1, a1) * binomial_z(b - 2, b1)
+                )
+            elif rec == 4:
+                w = d1 * d1 * (
+                    binomial_z(a - 3, a1) * binomial_z(b - 1, b1 - 1)
+                    - binomial_z(a - 3, a1 - 1) * binomial_z(b - 1, b1)
+                )
+            elif rec == 5:
+                w = (
+                    d1 * d2 * binomial_z(a - 2, a1 - 1) * binomial_z(b - 2, b1 - 1)
+                    - d1 * d2 * binomial_z(a - 2, a1 - 2) * binomial_z(b - 2, b1)
+                    + d1 * d1 * binomial_z(a - 2, a1) * binomial_z(b - 2, b1 - 1)
+                    - d1 * d1 * binomial_z(a - 2, a1 - 1) * binomial_z(b - 2, b1)
+                )
+            else:
+                w = d1 * (
+                    binomial_z(a - 3, a1) * binomial_z(b - 2, b1 - 2)
+                    - 2 * binomial_z(a - 3, a1 - 1) * binomial_z(b - 2, b1 - 1)
+                    + binomial_z(a - 3, a1 - 2) * binomial_z(b - 2, b1)
+                )
+            total += pair * w
+    return total
+
+
+# (label, condition on (a, b)) for every recursion instance the check applies
+APPLICABLE = (
+    (1, lambda a, b: a >= 3),
+    (2, lambda a, b: a >= 2 and b >= 1),
+    (3, lambda a, b: a >= 1 and b >= 2),
+    (4, lambda a, b: a >= 3 and b >= 1),
+    (5, lambda a, b: a >= 2 and b >= 2),
+    (6, lambda a, b: a >= 3 and b >= 2),
+)
+
+
+@pytest.mark.parametrize("space, d_max", [("q3", 8), ("p3", 6)])
+def test_fano3_sums_match_the_per_recursion_oracle(monkeypatch, space, d_max):
+    computed = {}
+    one_pass = engine._fano3_sums
+
+    def recording(a, b, k, known, rows):
+        computed[(a, b)] = one_pass(a, b, k, known, rows)
+        return computed[(a, b)]
+
+    monkeypatch.setattr(engine, "_fano3_sums", recording)
+    known = fano3_numbers(space, d_max)
+    k = builtin_model(space).effective_c1[0]
+    assert set(computed) == set(known)
+    instances = 0
+    for (a, b), sums in computed.items():
+        for rec, applies in APPLICABLE:
+            if applies(a, b):
+                assert sums[rec - 1] == _oracle_rhs(rec, a, b, k, known), (rec, a, b)
+                instances += 1
+    assert instances > len(known)
+
+
+@pytest.mark.parametrize(
+    "space, d_max, instances",
+    [("q3", 5, 85), ("p3", 3, 40), ("q3", 24, 2450), ("p3", 16, 1457)],
+)
+def test_fano3_checks_every_applicable_instance(monkeypatch, space, d_max, instances):
+    counts = []
+    check = engine._fano3_check
+
+    def counting(*args):
+        counts.append(check(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(engine, "_fano3_check", counting)
+    fano3_numbers(space, d_max)
+    assert len(counts) == d_max  # one check per degree
+    assert sum(counts) == instances
+    # the same count, read off the applicability conditions alone
+    k = builtin_model(space).effective_c1[0]
+    expected = sum(
+        applies(a, (k * d - a) // 2)
+        for d in range(1, d_max + 1)
+        for a in range(k * d % 2, k * d + 1, 2)
+        for _, applies in APPLICABLE
+    )
+    assert instances == expected
+
+
+@pytest.mark.parametrize("a", range(1, 16, 2))
+def test_fano3_check_catches_a_raised_top_count(monkeypatch, a):
+    b = (15 - a) // 2
+    check = engine._fano3_check
+
+    def corrupting(space, d, c, known, sums):
+        if d == 5:
+            known[(a, b)] += 1
+        return check(space, d, c, known, sums)
+
+    monkeypatch.setattr(engine, "_fano3_check", corrupting)
+    label = r"\(3\)" if a == 1 else r"\(1\)"
+    with pytest.raises(SolveError, match=rf"q3: recursion {label} fails at \(a,b\)=\({a},{b}\)"):
+        fano3_numbers("q3", 5)
 
 
 # -- invariant evaluation ----------------------------------------------------

@@ -21,6 +21,7 @@ from gwcalc import (
     small_ring,
     standard_table,
 )
+from gwcalc import cli
 from gwcalc.cli import _ring_checks
 from gwcalc.series import GWSeries, GradedPoly
 
@@ -161,6 +162,33 @@ def test_ring_checks_build_each_left_product_once(monkeypatch, p3_potential):
     checks = _ring_checks(_uncached(p3_potential))
     assert all(ok for _, ok, _ in checks)
     assert len(calls) <= (p3_potential.model.rank - 1) ** 3
+
+
+def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential):
+    calls = []
+    product = cli.big_product
+
+    def counting(bundle, i, j):
+        calls.append((i, j))
+        return product(bundle, i, j)
+
+    monkeypatch.setattr(cli, "big_product", counting)
+    checks = _ring_checks(_uncached(p3_potential))
+    assert all(ok for _, ok, _ in checks)
+    rank = p3_potential.model.rank
+    assert len(calls) <= 2 * rank ** 2 + rank
+    # the commutativity check still reaches every unordered pair
+    assert {frozenset(pair) for pair in calls} >= {
+        frozenset((i, j)) for i in range(rank) for j in range(i + 1, rank)
+    }
+
+
+def test_ring_checks_catch_a_corrupted_cached_product(p3_potential):
+    bundle = _uncached(p3_potential)
+    product = bundle.product(1, 2)
+    product[0] = product[0] + GWSeries.constant(bundle.bounds, 1)
+    checks = {name: ok for name, ok, _ in _ring_checks(bundle)}
+    assert checks["big-commutative"] is False
 
 
 # -- the cubic satisfied by the plane's hyperplane class ----------------------

@@ -11,6 +11,7 @@ from gwcalc.series import (
     GWSeries,
     GradedPoly,
     SeriesBounds,
+    binomial_row,
     binomial_z,
     series_partial,
 )
@@ -29,6 +30,20 @@ def test_binomial_zero_extension():
     assert binomial_z(2, -1) == 0
     assert binomial_z(-1, 0) == 0
     assert binomial_z(3, 5) == 0
+
+
+def test_binomial_row_matches_comb():
+    for n in range(201):
+        row = binomial_row(n)
+        assert len(row) == n + 1
+        assert all(row[m] == math.comb(n, m) for m in range(n + 1))
+
+
+def test_binomial_row_empty_below_zero():
+    # a row holds no entry outside 0 <= m <= n, where binomial_z reads 0
+    for n in range(-3, 0):
+        assert binomial_row(n) == []
+        assert binomial_z(n, 0) == 0
 
 
 def test_binomial_recursion_term():
