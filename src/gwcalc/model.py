@@ -99,9 +99,6 @@ class FanoModel:
 
     # -- curve classes -------------------------------------------------------
 
-    def zero_class(self) -> MultiIndex:
-        return (0,) * self.divisor_count
-
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(c * d for c, d in zip(self.effective_c1, beta))
 
@@ -137,19 +134,17 @@ class FanoModel:
             self.dimension + self.c1_degree(beta) - 3
         )
 
-    def series_bounds(self, max_c1: int, max_total: int | None = None) -> SeriesBounds:
+    def series_bounds(self, max_c1: int) -> SeriesBounds:
         """Series bounds compatible with this model's grading.
 
-        The default total-degree cap is dim + max_c1 - 3, which no insertion
+        The total-degree cap is dim + max_c1 - 3, which no insertion
         multi-index within the c1 bound can exceed.
         """
-        if max_total is None:
-            max_total = max(self.dimension + max_c1 - 3, 0)
         return SeriesBounds(
             beta_weights=self.effective_c1,
             max_c1=max_c1,
             n_vars=len(self.nondivisor_indices),
-            max_total=max_total,
+            max_total=max(self.dimension + max_c1 - 3, 0),
         )
 
     # -- serialization --------------------------------------------------------

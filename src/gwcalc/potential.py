@@ -8,8 +8,10 @@ partials are the series
 
 the brackets contract two of them against the inverse pairing, and the
 residual of an index quadruple is the difference of the two bracket orders.
-For a correct table every residual vanishes identically; we verify this on
-the completeness region that the series operations track.
+For a correct table every residual vanishes identically.  The dimension
+constraint sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps the total degree
+of every key at dim + c1 - 3, so within a c1 bound the series are exact on
+their whole truncation box and a residual is checked at every stored key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .series import GWSeries, MultiIndex, NO_LIMIT, SeriesBounds, class_splits, series_partial
+from .series import GWSeries, MultiIndex, SeriesBounds, class_splits, series_partial
 
 
 # Expansion of a big-ring element over the model's basis: index -> series.
@@ -84,17 +86,14 @@ class PotentialBundle:
         )
 
 
-def build_potential(
-    model: FanoModel,
-    table: GWTable,
-    max_c1: int,
-    max_total: int | None = None,
-) -> PotentialBundle:
+def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialBundle:
     """Assemble the potential of a table, truncated at c1-degree ``max_c1``.
 
     The table must cover the requested bound; counts appear verbatim as
-    coefficients.  Within the c1 bound the dimension constraint caps every
-    insertion degree, so the series is complete at all total degrees.
+    coefficients.  The dimension constraint caps every key's total degree at
+    dim + max_c1 - 3, the total-degree bound of ``model.series_bounds``, so
+    the series is exact on its whole box; a table key past that bound breaks
+    the constraint and is refused.
     """
     if table.model != model:
         raise ValueError("table belongs to a different model")
@@ -102,7 +101,7 @@ def build_potential(
         raise ValueError(
             f"requested c1-degree {max_c1} exceeds table coverage {table.c1_max}"
         )
-    bounds = model.series_bounds(max_c1, max_total)
+    bounds = model.series_bounds(max_c1)
     terms = {}
     for (beta, n), value in table.entries.items():
         if model.c1_degree(beta) > max_c1:
@@ -114,7 +113,7 @@ def build_potential(
             )
         if value:
             terms[(beta, n)] = Fraction(value)
-    gamma = GWSeries(bounds, terms, complete_c1=max_c1, complete_total=NO_LIMIT)
+    gamma = GWSeries(bounds, terms)
     return PotentialBundle(model, bounds, gamma)
 
 

@@ -102,7 +102,7 @@ class QuantumRing:
                 continue
             for f, factor in self.product(e, j).items():
                 out[f] = out[f] + coeff * factor
-        return {f: v for f, v in out.items()}
+        return out
 
     def basis_power(self, i: int, exponent: int) -> dict[int, GradedPoly]:
         """The exponent-fold product T_i * ... * T_i as an expansion."""
@@ -360,7 +360,6 @@ def _box_betti(p: int, k: int) -> list[int]:
     """Number of partitions inside a p x k box by size (the graded ranks of
     the classical cohomology)."""
     counts = [0] * (p * k + 1)
-    partitions = [()]
     stack = [(0, k, ())]
     while stack:
         depth, limit, shape = stack.pop()
@@ -438,7 +437,7 @@ class BigRingPresentation:
     residuals: Expansion
 
     def holds(self) -> bool:
-        return all(series.is_zero_on_complete() for series in self.residuals.values())
+        return all(series.is_zero() for series in self.residuals.values())
 
 
 def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
@@ -446,7 +445,8 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
 
     Expands the triple star power of T_1 and subtracts the cubic with
     coefficients given by the three quantum third partials; the residual
-    must vanish on the completeness region in every basis coefficient.
+    must vanish at every key of the truncation box in every basis
+    coefficient.
     """
     model = bundle.model
     if (model.dimension, model.top_index, model.divisor_count) != (2, 2, 1):
@@ -470,7 +470,7 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
         residuals=residuals,
     )
     if not result.holds():
-        bad = {f: s.nonzero_complete_keys() for f, s in residuals.items() if not s.is_zero_on_complete()}
+        bad = {f: sorted(s.coeffs) for f, s in residuals.items() if not s.is_zero()}
         raise ArithmeticError(f"cubic relation fails at {bad}")
     return result
 

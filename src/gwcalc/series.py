@@ -20,9 +20,7 @@ coefficient means curve counts appear verbatim as coefficients.
 Series are truncated: keys are capped by a bound on the c1-degree of beta
 (each beta coordinate carries a fixed positive weight) and by a bound on the
 total degree of n.  Operations silently drop out-of-bound keys, i.e. we work
-modulo the truncation ideal.  Each series additionally tracks the region on
-which its stored coefficients are known to be exact (the completeness
-frontier); products and derivatives shrink that region by the obvious rules.
+modulo the truncation ideal, so every stored coefficient is exact.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ MultiIndex = tuple[int, ...]
 
 # Series key: (curve-class exponent vector, non-divisor multi-index).
 Key = tuple[MultiIndex, MultiIndex]
-
-#: Marker for "complete at every degree" frontiers.
-NO_LIMIT = math.inf
-
 
 def binomial_z(n: int, m: int) -> int:
     """Binomial coefficient C(n, m), defined as 0 if n, m or n-m is negative."""
@@ -71,27 +65,6 @@ def total_degree(n: MultiIndex) -> int:
 
 def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def index_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex | None:
-    """Componentwise difference, or None if any entry would go negative."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def splittings(n: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
-    """All ordered splittings n = n1 + n2 with non-negative parts."""
-    if not n:
-        yield (), ()
-        return
-    head, rest = n[0], n[1:]
-    for r1, r2 in splittings(rest):
-        for h in range(head + 1):
-            yield (h,) + r1, (head - h,) + r2
 
 
 def split_binomial(n: MultiIndex, n1: MultiIndex) -> int:
@@ -170,20 +143,10 @@ class GWSeries:
     """Truncated divided-power series with exact rational coefficients.
 
     Immutable after construction; zero coefficients are never stored.
-    ``complete_c1``/``complete_total`` bound the region on which the stored
-    coefficients are exact (NO_LIMIT means exact at every degree).
     """
 
     bounds: SeriesBounds
     coeffs: Mapping[Key, Fraction] = field(default_factory=dict)
-    complete_c1: int | float = None  # type: ignore[assignment]
-    complete_total: int | float = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.complete_c1 is None:
-            object.__setattr__(self, "complete_c1", self.bounds.max_c1)
-        if self.complete_total is None:
-            object.__setattr__(self, "complete_total", self.bounds.max_total)
 
     # -- constructors ---------------------------------------------------
 
@@ -192,8 +155,6 @@ class GWSeries:
         cls,
         bounds: SeriesBounds,
         terms: Mapping[Key, int | Fraction] | Iterable[tuple[Key, int | Fraction]],
-        complete_c1: int | float | None = None,
-        complete_total: int | float | None = None,
     ) -> "GWSeries":
         items = terms.items() if isinstance(terms, Mapping) else terms
         coeffs: dict[Key, Fraction] = {}
@@ -205,7 +166,7 @@ class GWSeries:
             if frac:
                 coeffs[(beta, n)] = coeffs.get((beta, n), Fraction(0)) + frac
         coeffs = {k: v for k, v in coeffs.items() if v}
-        return cls(bounds, coeffs, complete_c1, complete_total)
+        return cls(bounds, coeffs)
 
     @classmethod
     def zero(cls, bounds: SeriesBounds) -> "GWSeries":
@@ -227,20 +188,6 @@ class GWSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def in_complete_region(self, key: Key) -> bool:
-        beta, n = key
-        return (
-            self.bounds.c1_degree(beta) <= self.complete_c1
-            and total_degree(n) <= self.complete_total
-        )
-
-    def nonzero_complete_keys(self) -> list[Key]:
-        """Nonzero keys inside the completeness frontier, sorted."""
-        return sorted(k for k in self.coeffs if self.in_complete_region(k))
-
-    def is_zero_on_complete(self) -> bool:
-        return not any(self.in_complete_region(k) for k in self.coeffs)
-
     def terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.coeffs.items())
 
@@ -259,12 +206,7 @@ class GWSeries:
                 coeffs[key] = acc
             else:
                 coeffs.pop(key, None)
-        return GWSeries(
-            self.bounds,
-            coeffs,
-            min(self.complete_c1, other.complete_c1),
-            min(self.complete_total, other.complete_total),
-        )
+        return GWSeries(self.bounds, coeffs)
 
     def __sub__(self, other: "GWSeries") -> "GWSeries":
         return self + other.scale(-1)
@@ -272,13 +214,8 @@ class GWSeries:
     def scale(self, value: int | Fraction) -> "GWSeries":
         frac = Fraction(value)
         if not frac:
-            return GWSeries(self.bounds, {}, self.complete_c1, self.complete_total)
-        return GWSeries(
-            self.bounds,
-            {k: v * frac for k, v in self.coeffs.items()},
-            self.complete_c1,
-            self.complete_total,
-        )
+            return GWSeries(self.bounds, {})
+        return GWSeries(self.bounds, {k: v * frac for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "GWSeries") -> "GWSeries":
         """Divided-power product, truncated to the shared bounds.
@@ -315,12 +252,7 @@ class GWSeries:
                     coeffs[(beta, n)] = acc
                 else:
                     coeffs.pop((beta, n), None)
-        return GWSeries(
-            bounds,
-            coeffs,
-            min(self.complete_c1, other.complete_c1, bounds.max_c1),
-            min(self.complete_total, other.complete_total, bounds.max_total),
-        )
+        return GWSeries(bounds, coeffs)
 
 
 def series_partial(a: GWSeries, var: int) -> GWSeries:
@@ -339,7 +271,7 @@ def series_partial(a: GWSeries, var: int) -> GWSeries:
         for (beta, n), value in a.coeffs.items():
             if beta[i]:
                 coeffs[(beta, n)] = value * beta[i]
-        return GWSeries(bounds, coeffs, a.complete_c1, a.complete_total)
+        return GWSeries(bounds, coeffs)
     if p < var <= p + bounds.n_vars:
         j = var - p - 1
         coeffs = {}
@@ -348,10 +280,7 @@ def series_partial(a: GWSeries, var: int) -> GWSeries:
                 shifted = list(n)
                 shifted[j] -= 1
                 coeffs[(beta, tuple(shifted))] = value
-        limit = a.complete_total
-        if limit is not NO_LIMIT:
-            limit = limit - 1
-        return GWSeries(bounds, coeffs, a.complete_c1, limit)
+        return GWSeries(bounds, coeffs)
     raise ValueError(f"unknown variable {var} (expected 1..{p + bounds.n_vars})")
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -8,6 +9,8 @@ import pytest
 
 from gwcalc import builtin_model, cli, save_model
 from gwcalc.cli import Report, main
+from gwcalc.engine import GWTable, standard_table
+from gwcalc.potential import build_potential
 
 
 def run(capsys, *argv):
@@ -200,9 +203,11 @@ def test_exit_code_usage_errors(capsys):
 
 
 def test_exit_code_argparse(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["unknown-command"])
-    assert info.value.code == 2
+    # no --trunc: the total-degree cap always follows from the c1 bound
+    for argv in (["unknown-command"], ["solve", "--model", "p3", "--dmax", "2", "--trunc", "9"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 def test_model_file_errors(capsys, tmp_path):
@@ -303,6 +308,28 @@ def test_fano3_check_runs_the_residual_sweep(capsys):
     assert "PASS canonical-equation-count: 6 classes" in out
     assert out.count("PASS residual-A") == 6
     assert "recursion-cross-validation" not in out
+
+
+@pytest.mark.parametrize("name, c1_max", [("p2", 12), ("p3", 20), ("q3", 15), ("p1xp1", 8)])
+def test_residual_sweep_catches_a_raised_top_count(name, c1_max):
+    # The count of largest total degree at the top c1 level sits in the far
+    # corner of the truncation box; the sweep must still see it.
+    model = builtin_model(name)
+    table = standard_table(model, c1_max)
+    top = max(
+        (key for key in table.entries if model.c1_degree(key[0]) == c1_max),
+        key=lambda key: sum(key[1]),
+    )
+    entries = dict(table.entries)
+    entries[top] += 1
+    raised = GWTable(model, table.c1_max, entries)
+    checks = cli._wdvv_checks(build_potential(model, raised, c1_max))
+    failed = [detail for label, ok, detail in checks if not ok]
+    assert failed and all(label.startswith("residual-A") for label, ok, _ in checks if not ok)
+    for detail in failed:
+        assert detail.startswith("nonzero at ")
+        keys = ast.literal_eval(detail[len("nonzero at "):])
+        assert keys and all(model.c1_degree(beta) == c1_max for beta, _ in keys)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

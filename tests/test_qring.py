@@ -76,7 +76,7 @@ def test_unit_associator_identically_zero(q3_potential):
 
 def test_plane_associator_and_unit_coefficient(plane_potential):
     residual = big_associator(plane_potential, 1, 1, 2)
-    assert all(series.is_zero_on_complete() for series in residual.values())
+    assert all(series.is_zero() for series in residual.values())
 
 
 def test_threefold_associators(p3_potential, q3_potential):
@@ -86,7 +86,7 @@ def test_threefold_associators(p3_potential, q3_potential):
                 for k in range(1, 4):
                     residual = big_associator(bundle, i, j, k)
                     assert all(
-                        series.is_zero_on_complete() for series in residual.values()
+                        series.is_zero() for series in residual.values()
                     )
 
 
@@ -101,7 +101,7 @@ def test_projective_space_associators():
                 for k in range(j, r + 1):
                     residual = big_associator(bundle, i, j, k)
                     assert all(
-                        series.is_zero_on_complete() for series in residual.values()
+                        series.is_zero() for series in residual.values()
                     )
 
 
@@ -113,7 +113,7 @@ def test_product_of_lines_associators():
         for j in range(i, 4):
             for k in range(j, 4):
                 residual = big_associator(bundle, i, j, k)
-                assert all(series.is_zero_on_complete() for series in residual.values())
+                assert all(series.is_zero() for series in residual.values())
 
 
 def test_big_ring_collects_constants(plane_potential):
@@ -209,7 +209,7 @@ def test_plane_cubic_unit_coefficient(plane_potential):
     expected = plane_potential.gamma_partial(1, 2, 2) + plane_potential.gamma_partial(
         1, 1, 1
     ) * plane_potential.gamma_partial(1, 1, 2)
-    assert (pow3[0] - expected).is_zero_on_complete()
+    assert (pow3[0] - expected).is_zero()
 
 
 def test_plane_cubic_degenerates_classically(p2):

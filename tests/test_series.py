@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcalc.series import (
-    NO_LIMIT,
     GWSeries,
     GradedPoly,
     SeriesBounds,
@@ -201,7 +200,7 @@ def test_divided_power_matches_naive_product(a, b):
 @st.composite
 def bounded_factors(draw):
     """Random bounds and two sparse series over them, with keys drawn often
-    from the edge of the bounds and random completeness frontiers."""
+    from the edge of the bounds."""
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     bounds = SeriesBounds(
         beta_weights=weights,
@@ -226,12 +225,7 @@ def bounded_factors(draw):
     value = st.fractions(-6, 6, max_denominator=5)
 
     def factor():
-        return GWSeries.build(
-            bounds,
-            draw(st.dictionaries(key, value, max_size=8)),
-            draw(st.none() | st.just(NO_LIMIT) | st.integers(0, bounds.max_c1)),
-            draw(st.none() | st.just(NO_LIMIT) | st.integers(0, bounds.max_total)),
-        )
+        return GWSeries.build(bounds, draw(st.dictionaries(key, value, max_size=8)))
 
     return bounds, factor(), factor()
 
@@ -243,8 +237,6 @@ def test_budgeted_product_matches_all_pairs(case):
     product = a * b
     assert _to_naive(product) == _naive_mul(_to_naive(a), _to_naive(b), bounds)
     assert all(type(v) is Fraction for v in product.coeffs.values())
-    assert product.complete_c1 == min(a.complete_c1, b.complete_c1, bounds.max_c1)
-    assert product.complete_total == min(a.complete_total, b.complete_total, bounds.max_total)
 
 
 # -- graded polynomials ------------------------------------------------------
