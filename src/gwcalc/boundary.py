@@ -112,14 +112,26 @@ def d_sum(
 
 @dataclass(frozen=True)
 class CountSide:
-    """One side of the boundary equivalence cut with the incidence curve."""
+    """One side of the boundary equivalence cut with the incidence curve.
+
+    ``terms`` holds (d1, d2, partitions, weight, value) per item, with d1 = 0
+    for the contracted datum; ``items`` formats the labels only when read.
+    """
 
     label: str
-    items: tuple[tuple[str, int], ...]
+    terms: tuple[tuple[int, int, int, int, int], ...]
 
     @property
     def total(self) -> int:
-        return sum(value for _, value in self.items)
+        return sum(term[4] for term in self.terms)
+
+    @property
+    def items(self) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            (f"split {d1}+{d2}, {parts} partitions of weight {weight}" if d1
+             else "contracted side through the two line markings", value)
+            for d1, d2, parts, weight, value in self.terms
+        )
 
 
 @dataclass(frozen=True)
@@ -142,8 +154,7 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
     zero class, plus reducible data weighted d1^3 d2; the other side only
     sees reducible data weighted d1^2 d2^2.  The partition counts are the
     binomials C(3d - 4, 3d1 - 1) and C(3d - 4, 3d1 - 2) over the 3d - 4
-    interior markings; each item and its label read them from one binomial
-    row of 3d - 4.
+    interior markings; every item reads them from one binomial row of 3d - 4.
     """
     if d < 2:
         raise ValueError("the equivalence is used for degree at least 2")
@@ -153,27 +164,18 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
 
     n = 3 * d
     row = binomial_row(3 * d - 4)
-    lhs_items: list[tuple[str, int]] = [("contracted side through the two line markings", count_of(d))]
-    rhs_items: list[tuple[str, int]] = []
+    lhs_terms = [(0, d, 1, 1, count_of(d))]
+    rhs_terms = []
     for d1 in range(1, d):
         d2 = d - d1
         pair = count_of(d1) * count_of(d2)
+        lhs_weight, rhs_weight = d1 ** 3 * d2, d1 ** 2 * d2 ** 2
         lhs_partitions, rhs_partitions = row[3 * d1 - 1], row[3 * d1 - 2]
-        lhs_items.append(
-            (
-                f"split {d1}+{d2}, {lhs_partitions} partitions of weight {d1 ** 3 * d2}",
-                pair * (d1 ** 3 * d2 * lhs_partitions),
-            )
-        )
-        rhs_items.append(
-            (
-                f"split {d1}+{d2}, {rhs_partitions} partitions of weight {d1 ** 2 * d2 ** 2}",
-                pair * (d1 ** 2 * d2 ** 2 * rhs_partitions),
-            )
-        )
+        lhs_terms.append((d1, d2, lhs_partitions, lhs_weight, pair * lhs_weight * lhs_partitions))
+        rhs_terms.append((d1, d2, rhs_partitions, rhs_weight, pair * rhs_weight * rhs_partitions))
     return IntersectionCounts(
         degree=d,
         markings=n,
-        lhs=CountSide("lines with lines", tuple(lhs_items)),
-        rhs=CountSide("lines split across", tuple(rhs_items)),
+        lhs=CountSide("lines with lines", tuple(lhs_terms)),
+        rhs=CountSide("lines split across", tuple(rhs_terms)),
     )

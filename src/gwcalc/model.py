@@ -25,16 +25,18 @@ class ModelError(ValueError):
     """A model file or constructor violated a structural invariant."""
 
 
-def _invert_exact(matrix: list[list[int]]) -> list[list[Fraction]]:
+def _invert_exact(matrix: list[list[int]]) -> list[list[int | Fraction]]:
     """Exact inverse of a square integer matrix: row-reducing [M | I] gives
-    [I | M^-1] exactly when M is nonsingular."""
+    [I | M^-1] exactly when M is nonsingular.  Integral entries come back as
+    ints, so a unimodular pairing keeps every series product integral."""
     size = len(matrix)
     pivots, _ = row_reduce(
         {**dict(enumerate(row)), size + i: 1} for i, row in enumerate(matrix)
     )
     if sorted(pivots) != list(range(size)):
         raise ModelError("pairing matrix is singular")
-    return [[pivots[i].get(size + j, Fraction(0)) for j in range(size)] for i in range(size)]
+    inverse = [[pivots[i].get(size + j, 0) for j in range(size)] for i in range(size)]
+    return [[int(v) if v.denominator == 1 else v for v in row] for row in inverse]
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class FanoModel:
     basis_names: tuple[str, ...]
     codims: tuple[int, ...]
     pairing: tuple[tuple[int, ...], ...]
-    pairing_inverse: tuple[tuple[Fraction, ...], ...]
+    pairing_inverse: tuple[tuple[int | Fraction, ...], ...]
     triples: dict[tuple[int, int, int], int]  # keyed by sorted index triple
     effective_c1: tuple[int, ...]  # anticanonical degree of each generator
     seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()  # sorted (beta, n, value)
@@ -81,10 +83,10 @@ class FanoModel:
     def g(self, i: int, j: int) -> int:
         return self.pairing[i][j]
 
-    def g_inv(self, i: int, j: int) -> Fraction:
+    def g_inv(self, i: int, j: int) -> int | Fraction:
         return self.pairing_inverse[i][j]
 
-    def g_inv_pairs(self) -> list[tuple[int, int, Fraction]]:
+    def g_inv_pairs(self) -> list[tuple[int, int, int | Fraction]]:
         """Nonzero entries (e, f, g^{ef}) of the inverse pairing."""
         out = []
         for e in range(self.rank):

@@ -89,11 +89,13 @@ class PotentialBundle:
 def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialBundle:
     """Assemble the potential of a table, truncated at c1-degree ``max_c1``.
 
-    The table must cover the requested bound; counts appear verbatim as
-    coefficients.  The dimension constraint caps every key's total degree at
-    dim + max_c1 - 3, the total-degree bound of ``model.series_bounds``, so
-    the series is exact on its whole box; a table key past that bound breaks
-    the constraint and is refused.
+    The table must cover the requested bound; its int counts appear verbatim
+    as coefficients, so the potential is an int series, and its products stay
+    ints unless the model's inverse pairing has denominators.  The dimension
+    constraint caps every key's total degree at dim + max_c1 - 3, the
+    total-degree bound of ``model.series_bounds``, so the series is exact on
+    its whole box; a table key past that bound breaks the constraint and is
+    refused.
     """
     if table.model != model:
         raise ValueError("table belongs to a different model")
@@ -112,7 +114,7 @@ def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialB
                 f"{bounds.max_total}"
             )
         if value:
-            terms[(beta, n)] = Fraction(value)
+            terms[(beta, n)] = value
     gamma = GWSeries(bounds, terms)
     return PotentialBundle(model, bounds, gamma)
 

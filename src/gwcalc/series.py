@@ -2,7 +2,9 @@
 exact Gauss-Jordan elimination, and graded integer polynomials.
 
 Everything here is exact.  Integers are Python ints, rationals are
-``fractions.Fraction``; no floats appear anywhere.
+``fractions.Fraction``; no floats appear anywhere.  Series coefficients are
+``int | Fraction``: ints while every input is an int, with a Fraction only
+from a non-integral input, such as a non-unimodular model's inverse pairing.
 
 A divided-power series lives in the module
 
@@ -29,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 # A multi-index: one non-negative exponent per variable.
@@ -36,6 +39,17 @@ MultiIndex = tuple[int, ...]
 
 # Series key: (curve-class exponent vector, non-divisor multi-index).
 Key = tuple[MultiIndex, MultiIndex]
+
+# An exact series coefficient; ints stay ints through every operation.
+Coefficient = int | Fraction
+
+
+def _exact(value: Coefficient) -> Coefficient:
+    """The value itself; anything but an int or a Fraction, a float above all, is refused."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise TypeError(f"series coefficients must be int or Fraction, not {type(value).__name__}")
+    return value
+
 
 def binomial_z(n: int, m: int) -> int:
     """Binomial coefficient C(n, m), defined as 0 if n, m or n-m is negative."""
@@ -64,18 +78,7 @@ def total_degree(n: MultiIndex) -> int:
 
 
 def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def split_binomial(n: MultiIndex, n1: MultiIndex) -> int:
-    """Product of per-variable binomials C(n_i, n1_i); the divided-power
-    convolution weight of the splitting n = n1 + (n - n1)."""
-    out = 1
-    for total, part in zip(n, n1):
-        out *= binomial_z(total, part)
-        if out == 0:
-            return 0
-    return out
+    return tuple(map(add, a, b))
 
 
 def class_splits(beta: MultiIndex) -> list[MultiIndex]:
@@ -140,13 +143,15 @@ class SeriesBounds:
 
 @dataclass(frozen=True)
 class GWSeries:
-    """Truncated divided-power series with exact rational coefficients.
+    """Truncated divided-power series with exact ``int | Fraction`` coefficients.
 
-    Immutable after construction; zero coefficients are never stored.
+    Immutable after construction; zero coefficients are never stored.  The
+    constructors take only ints and Fractions, and every operation keeps an
+    int series int, so a Fraction appears only where one was put in.
     """
 
     bounds: SeriesBounds
-    coeffs: Mapping[Key, Fraction] = field(default_factory=dict)
+    coeffs: Mapping[Key, Coefficient] = field(default_factory=dict)
 
     # -- constructors ---------------------------------------------------
 
@@ -154,17 +159,16 @@ class GWSeries:
     def build(
         cls,
         bounds: SeriesBounds,
-        terms: Mapping[Key, int | Fraction] | Iterable[tuple[Key, int | Fraction]],
+        terms: Mapping[Key, Coefficient] | Iterable[tuple[Key, Coefficient]],
     ) -> "GWSeries":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        coeffs: dict[Key, Fraction] = {}
+        coeffs: dict[Key, Coefficient] = {}
         for (beta, n), value in items:
             bounds.check_key(beta, n)
             if not bounds.in_bounds(beta, n):
                 raise ValueError(f"key {(beta, n)} exceeds truncation bounds")
-            frac = Fraction(value)
-            if frac:
-                coeffs[(beta, n)] = coeffs.get((beta, n), Fraction(0)) + frac
+            if _exact(value):
+                coeffs[(beta, n)] = coeffs.get((beta, n), 0) + value
         coeffs = {k: v for k, v in coeffs.items() if v}
         return cls(bounds, coeffs)
 
@@ -173,22 +177,21 @@ class GWSeries:
         return cls(bounds, {})
 
     @classmethod
-    def constant(cls, bounds: SeriesBounds, value: int | Fraction) -> "GWSeries":
-        frac = Fraction(value)
-        if not frac:
+    def constant(cls, bounds: SeriesBounds, value: Coefficient) -> "GWSeries":
+        if not _exact(value):
             return cls.zero(bounds)
         key = ((0,) * len(bounds.beta_weights), (0,) * bounds.n_vars)
-        return cls(bounds, {key: frac})
+        return cls(bounds, {key: value})
 
     # -- queries ----------------------------------------------------------
 
-    def coefficient(self, beta: MultiIndex, n: MultiIndex) -> Fraction:
-        return self.coeffs.get((beta, n), Fraction(0))
+    def coefficient(self, beta: MultiIndex, n: MultiIndex) -> Coefficient:
+        return self.coeffs.get((beta, n), 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def terms(self) -> list[tuple[Key, Fraction]]:
+    def terms(self) -> list[tuple[Key, Coefficient]]:
         return sorted(self.coeffs.items())
 
     # -- arithmetic -------------------------------------------------------
@@ -201,7 +204,7 @@ class GWSeries:
         self._require_same_bounds(other)
         coeffs = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            acc = coeffs.get(key, Fraction(0)) + value
+            acc = coeffs.get(key, 0) + value
             if acc:
                 coeffs[key] = acc
             else:
@@ -211,11 +214,10 @@ class GWSeries:
     def __sub__(self, other: "GWSeries") -> "GWSeries":
         return self + other.scale(-1)
 
-    def scale(self, value: int | Fraction) -> "GWSeries":
-        frac = Fraction(value)
-        if not frac:
+    def scale(self, value: Coefficient) -> "GWSeries":
+        if not _exact(value):
             return GWSeries(self.bounds, {})
-        return GWSeries(self.bounds, {k: v * frac for k, v in self.coeffs.items()})
+        return GWSeries(self.bounds, {k: v * value for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "GWSeries") -> "GWSeries":
         """Divided-power product, truncated to the shared bounds.
@@ -224,34 +226,39 @@ class GWSeries:
         n = n1 + n2 weighted by the per-variable binomials C(n_i, n1_i).
         Both degrees add, so the right factor's terms are sorted by
         (c1-degree, total degree) and each left term meets only the pairs
-        that land inside the bounds.
+        that land inside the bounds.  The weight is 1 when either n is zero,
+        and otherwise only coordinates with 0 < n1_i < n_i contribute.
         """
         self._require_same_bounds(other)
         bounds = self.bounds
-        right = sorted(
-            (
-                (bounds.c1_degree(b2), total_degree(n2), b2, n2, v2)
-                for (b2, n2), v2 in other.coeffs.items()
-            ),
-            key=lambda term: term[:2],
-        )
-        coeffs: dict[Key, Fraction] = {}
+        c1_degree = bounds.c1_degree
+        right = [(c1_degree(b), total_degree(n), b, n, v) for (b, n), v in other.coeffs.items()]
+        right.sort(key=itemgetter(0, 1))
+        coeffs: dict[Key, Coefficient] = {}
+        get = coeffs.get
         for (b1, n1), v1 in self.coeffs.items():
-            c1_budget = bounds.max_c1 - bounds.c1_degree(b1)
-            total_budget = bounds.max_total - total_degree(n1)
+            c1_budget = bounds.max_c1 - c1_degree(b1)
+            n1_total = total_degree(n1)
+            total_budget = bounds.max_total - n1_total
             for c1, total, b2, n2, v2 in right:
                 if c1 > c1_budget:
                     break
                 if total > total_budget:
                     continue
-                beta = index_add(b1, b2)
-                n = index_add(n1, n2)
-                weight = split_binomial(n, n1)
-                acc = coeffs.get((beta, n), Fraction(0)) + v1 * v2 * weight
-                if acc:
-                    coeffs[(beta, n)] = acc
+                value = v1 * v2
+                if n1_total and total:
+                    n = tuple(map(add, n1, n2))
+                    for t, part in zip(n, n1):
+                        if 0 < part < t:
+                            value *= math.comb(t, part)
                 else:
-                    coeffs.pop((beta, n), None)
+                    n = n2 if total else n1
+                key = (tuple(map(add, b1, b2)), n)
+                acc = get(key, 0) + value
+                if acc:
+                    coeffs[key] = acc
+                else:
+                    coeffs.pop(key, None)
         return GWSeries(bounds, coeffs)
 
 
@@ -288,11 +295,11 @@ def series_partial(a: GWSeries, var: int) -> GWSeries:
 # Exact linear elimination
 # ---------------------------------------------------------------------------
 
-Row = dict[int, Fraction]
+Row = dict[int, Coefficient]
 
 
 def row_reduce(
-    rows: Iterable[Mapping[int, int | Fraction]],
+    rows: Iterable[Mapping[int, Coefficient]],
 ) -> tuple[dict[int, Row], dict[int, int]]:
     """Reduced row echelon form of the span of sparse rows, by exact
     Gauss-Jordan elimination.
@@ -306,7 +313,7 @@ def row_reduce(
     pivots: dict[int, Row] = {}
     origin: dict[int, int] = {}
     for position, entries in enumerate(rows):
-        row = {col: Fraction(value) for col, value in entries.items() if value}
+        row = {col: value for col, value in entries.items() if value}
         # pivot rows vanish in every other pivot column, so the order of
         # these subtractions does not matter
         for col in [c for c in row if c in pivots]:
@@ -314,7 +321,7 @@ def row_reduce(
         if not row:
             continue
         lead = min(row)
-        inv = 1 / row[lead]
+        inv = Fraction(1, row[lead])
         row = {col: value * inv for col, value in row.items()}
         for other in pivots.values():
             if lead in other:
@@ -324,7 +331,7 @@ def row_reduce(
     return pivots, origin
 
 
-def _subtract(row: Row, factor: Fraction, other: Row) -> None:
+def _subtract(row: Row, factor: Coefficient, other: Row) -> None:
     """In place: row -= factor * other, dropping entries that cancel."""
     for col, value in other.items():
         acc = row.get(col, 0) - factor * value

@@ -146,6 +146,21 @@ def test_intersection_counts_degree_two(plane_table):
     assert counts.balanced
 
 
+def test_intersection_counts_labels_on_read(plane_table):
+    # labels are formatted only when read; the itemized replay names each term
+    counts = intersection_counts(2, plane_table)
+    assert counts.lhs.items == (
+        ("contracted side through the two line markings", 1),
+        ("split 1+1, 1 partitions of weight 1", 1),
+    )
+    assert counts.rhs.items == (("split 1+1, 2 partitions of weight 1", 2),)
+    # degree 3: C(5, 5) = 1 partition of weight 2^3 * 1, C(5, 4) = 5 of weight 2^2 * 1^2
+    counts = intersection_counts(3, plane_table)
+    assert counts.lhs.items[-1] == ("split 2+1, 1 partitions of weight 8", 8)
+    assert counts.rhs.items[-1] == ("split 2+1, 5 partitions of weight 4", 20)
+    assert counts.lhs.total == sum(value for _, value in counts.lhs.items) == 40
+
+
 def test_intersection_counts_match_through_degree_six(plane_table):
     for d in range(2, 7):
         counts = intersection_counts(d, plane_table)

@@ -4,11 +4,14 @@ the generic solver; their counts are checked against independent values."""
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from gwcalc import model_from_dict, nd_plane_numbers
-from gwcalc.cli import main
+from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
+from gwcalc.cli import _wdvv_checks, main
+from gwcalc.engine import GWTable, standard_table
+from gwcalc.potential import build_potential
 
 # P^1 x P^2 in the basis 1, h1, h2, h1*h2, h2^2, pt.  The seeds: one line of
 # the P^1 ruling through a point, one line of a P^2 fiber through a point and
@@ -36,6 +39,77 @@ P1XP2 = {
         {"class": [0, 1], "insertions": [0, 1, 1], "value": 1},
     ],
 }
+
+
+# The quadric threefold in the basis 1, H, H^2, pt.  H^2 is twice the line
+# class of the built-in model, so H.H^2 = 2: the pairing is not unimodular,
+# g^-1 holds entries 1/2, and every series product goes through Fractions.
+# The seed is the built-in line count with its H^2 insertion doubled.
+Q3_HYPERPLANE = {
+    "name": "q3h",
+    "dimension": 3,
+    "basis": [
+        {"name": name, "codim": codim}
+        for name, codim in [("1", 0), ("H", 1), ("H^2", 2), ("pt", 3)]
+    ],
+    "pairing": [[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]],
+    "triples": [
+        {"i": 0, "j": 0, "k": 3, "value": 1},
+        {"i": 0, "j": 1, "k": 2, "value": 2},
+        {"i": 1, "j": 1, "k": 1, "value": 2},
+    ],
+    "effective": [{"dual_divisor_index": 1, "c1_degree": 3}],
+    "seeds": [{"class": [1], "insertions": [1, 1], "value": 2}],
+}
+
+
+def _run_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def q3_hyperplane_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracles") / "q3h.json"
+    path.write_text(json.dumps(Q3_HYPERPLANE), encoding="utf-8")
+    return str(path)
+
+
+def test_q3_hyperplane_basis_takes_the_fraction_path():
+    model = model_from_dict(Q3_HYPERPLANE)
+    assert model.g_inv(1, 2) == Fraction(1, 2)
+    assert type(model.g_inv(0, 3)) is int
+
+
+def test_q3_hyperplane_counts_are_rescaled_builtin_counts(q3_hyperplane_file):
+    # each H^2 insertion counts twice what a line insertion counts
+    code, report = _run_json("solve", "--model-file", q3_hyperplane_file, "--dmax", "3", "--check")
+    assert code == 0
+    assert report["checks"] and all(check["pass"] for check in report["checks"])
+    values = {tuple(row["key"]): int(row["value"]) for row in report["rows"]}
+    builtin = standard_table(builtin_model("q3"), 9)
+    assert values == {(*beta, *n): 2 ** n[0] * v for (beta, n), v in builtin.entries.items()}
+    assert (values[(1, 3, 0)], values[(2, 6, 0)], values[(3, 9, 0)]) == (8, 320, 123904)
+
+
+def test_q3_hyperplane_verify_suite_passes(q3_hyperplane_file):
+    code, report = _run_json(
+        "verify", "--suite", "all", "--model-file", q3_hyperplane_file, "--dmax", "3"
+    )
+    assert code == 0
+    assert report["checks"] and all(check["pass"] for check in report["checks"])
+
+
+def test_q3_hyperplane_residuals_catch_a_raised_count():
+    model = model_from_dict(Q3_HYPERPLANE)
+    table = standard_table(model, 9)
+    entries = dict(table.entries)
+    entries[((2,), (6, 0))] += 1
+    checks = _wdvv_checks(build_potential(model, GWTable(model, 9, entries), 9))
+    assert any(label.startswith("residual-A") and not ok for label, ok, _ in checks)
+    assert all(ok for _, ok, _ in _wdvv_checks(build_potential(model, table, 9)))
 
 
 @pytest.fixture(scope="module")

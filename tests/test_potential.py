@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from gwcalc import (
     GWTable,
+    big_associator,
     build_potential,
     builtin_model,
     f_bracket,
     g_bracket,
     standard_seeds,
+    standard_table,
     wdvv_canonical_equations,
     wdvv_residual,
     wdvv_solve,
@@ -57,6 +60,35 @@ def test_phi_with_unit_index_is_pairing(q3, q3_potential):
             assert q3_potential.phi(0, j, k) == GWSeries.constant(
                 q3_potential.bounds, q3.g(j, k)
             )
+
+
+@pytest.mark.parametrize("name, c1_max", [("p2", 9), ("p3", 12), ("q3", 9), ("p1xp1", 6)])
+def test_unimodular_models_keep_int_coefficients(name, c1_max):
+    # every built-in pairing is unimodular, so no Fraction may enter the
+    # third partials, the cached big products or the residuals
+    model = builtin_model(name)
+    table = standard_table(model, c1_max)
+    bundle = build_potential(model, table, c1_max)
+    nonzero = range(1, model.rank)
+    for i, j, k in itertools.product(nonzero, repeat=3):
+        big_associator(bundle, i, j, k)
+    top = max(key for key in table.entries if model.c1_degree(key[0]) == c1_max)
+    entries = {**table.entries, top: table.entries[top] + 1}
+    raised = build_potential(model, GWTable(model, c1_max, entries), c1_max)
+    residuals = [
+        wdvv_residual(potential, *eq.indices)
+        for potential in (bundle, raised)
+        for eq in wdvv_canonical_equations(model.top_index)
+    ]
+    series = [
+        *bundle._phi.values(),
+        *(s for expansion in bundle._products.values() for s in expansion.values()),
+        *(s for expansion in bundle._left.values() for s in expansion.values()),
+        *residuals,
+    ]
+    values = [v for s in series for v in s.coeffs.values()]
+    assert values and all(type(v) is int for v in values)
+    assert any(not r.is_zero() for r in residuals)
 
 
 def test_bounds_must_be_covered(p2, plane_table):

@@ -129,6 +129,26 @@ def test_out_of_bounds_key_rejected():
         GWSeries.build(BOUNDS, {((4,), (0,)): 1})
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, 0.0, "1", None])
+def test_inexact_coefficients_rejected(value):
+    # a float, even an integral one, would let binary rounding into an exact
+    # series; only int and Fraction coefficients get in
+    with pytest.raises(TypeError):
+        GWSeries.build(BOUNDS, {((1,), (2,)): value})
+    with pytest.raises(TypeError):
+        GWSeries.constant(BOUNDS, value)
+    with pytest.raises(TypeError):
+        GWSeries.build(BOUNDS, {((1,), (2,)): 1}).scale(value)
+
+
+def test_int_coefficients_stay_int():
+    a = GWSeries.build(BOUNDS, {((1,), (2,)): 3, ((0,), (1,)): -2})
+    b = GWSeries.constant(BOUNDS, 5) + a.scale(2)
+    for series in (a, b, a * b, series_partial(a * b, 1), series_partial(a * b, 2)):
+        assert all(type(v) is int for v in series.coeffs.values())
+    assert type(a.coefficient((2,), (3,))) is int
+
+
 def test_zero_coefficients_not_stored():
     a = GWSeries.build(BOUNDS, {((1,), (2,)): 1})
     b = GWSeries.build(BOUNDS, {((1,), (2,)): -1})
@@ -170,7 +190,7 @@ def test_partials_commute(a):
 
 def _to_naive(series):
     return {
-        key: value / math.prod(math.factorial(x) for x in key[1])
+        key: Fraction(value, math.prod(math.factorial(x) for x in key[1]))
         for key, value in series.coeffs.items()
     }
 
@@ -222,7 +242,8 @@ def bounded_factors(draw):
         or (n and sum(n) == bounds.max_total)
     ]
     key = st.sampled_from(edge) | st.sampled_from(keys)
-    value = st.fractions(-6, 6, max_denominator=5)
+    # int factors or rational ones, never mixed within a draw
+    value = draw(st.sampled_from([st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5)]))
 
     def factor():
         return GWSeries.build(bounds, draw(st.dictionaries(key, value, max_size=8)))
@@ -236,7 +257,10 @@ def test_budgeted_product_matches_all_pairs(case):
     bounds, a, b = case
     product = a * b
     assert _to_naive(product) == _naive_mul(_to_naive(a), _to_naive(b), bounds)
-    assert all(type(v) is Fraction for v in product.coeffs.values())
+    factors = list(a.coeffs.values()) + list(b.coeffs.values())
+    if all(type(v) is int for v in factors):
+        assert all(type(v) is int for v in product.coeffs.values())
+    assert all(type(v) in (int, Fraction) for v in product.coeffs.values())
 
 
 # -- graded polynomials ------------------------------------------------------
