@@ -36,7 +36,6 @@ from .qring import (
     QuantumRing,
     big_associator,
     big_product,
-    big_ring,
     fixed_points_number,
     grassmannian_presentation,
     pr_presentation,
@@ -62,7 +61,6 @@ __all__ = [
     "WdvvEquationId",
     "big_associator",
     "big_product",
-    "big_ring",
     "binomial_z",
     "build_potential",
     "builtin_model",

@@ -15,6 +15,7 @@ equality of the two sides is exactly the degree-d recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .engine import GWTable
 from .series import MultiIndex, binomial_row, class_splits
@@ -50,6 +51,33 @@ def _complement(beta: MultiIndex, part: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(beta, part))
 
 
+def marking_splits(
+    n: int, first: Iterable[int], second: Iterable[int] = ()
+) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Two-sided partitions (side a, side b) of the markings 1..n with
+    ``first`` on side a and ``second`` on side b.  The free markings, in
+    ascending order, are assigned to side a by the bits of a counter."""
+    fixed = set(first) | set(second)
+    free = [x for x in range(1, n + 1) if x not in fixed]
+    markings = frozenset(range(1, n + 1))
+    for mask in range(1 << len(free)):
+        side_a = frozenset(first) | {free[x] for x in range(len(free)) if mask >> x & 1}
+        yield side_a, markings - side_a
+
+
+def _split_data(
+    n: int, beta: MultiIndex, first: Iterable[int], second: Iterable[int] = ()
+) -> list[BoundaryDatum]:
+    """The valid data over ``marking_splits`` and every class splitting."""
+    data = []
+    for side_a, side_b in marking_splits(n, first, second):
+        for beta1 in class_splits(beta):
+            datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
+            if datum.is_valid(n, beta):
+                data.append(datum)
+    return data
+
+
 def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     """All boundary data for n markings and class beta, each exactly once.
 
@@ -72,15 +100,7 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
             if datum.is_valid(0, beta):
                 data.append(datum)
         return data
-    others = list(range(2, n + 1))
-    for mask in range(1 << len(others)):
-        side_a = frozenset({1} | {others[i] for i in range(len(others)) if mask >> i & 1})
-        side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in class_splits(beta):
-            datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
-            if datum.is_valid(n, beta):
-                data.append(datum)
-    return data
+    return _split_data(n, beta, (1,))
 
 
 def d_sum(
@@ -92,17 +112,7 @@ def d_sum(
         raise ValueError("markings i, j, k, l must be distinct")
     if not all(1 <= x <= n for x in (i, j, k, l)):
         raise ValueError("markings out of range")
-    beta = tuple(beta)
-    rest = [x for x in range(1, n + 1) if x not in (i, j, k, l)]
-    data = []
-    for mask in range(1 << len(rest)):
-        side_a = frozenset({i, j} | {rest[t] for t in range(len(rest)) if mask >> t & 1})
-        side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in class_splits(beta):
-            datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
-            if datum.is_valid(n, beta):
-                data.append(datum)
-    return data
+    return _split_data(n, tuple(beta), (i, j), (k, l))
 
 
 # ---------------------------------------------------------------------------

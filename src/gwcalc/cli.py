@@ -37,6 +37,7 @@ from .potential import PotentialBundle, build_potential, wdvv_residual
 from .qring import (
     big_associator,
     big_product,
+    grassmannian_lift,
     grassmannian_presentation,
     pr_presentation,
     presentation_from_big,
@@ -44,22 +45,6 @@ from .qring import (
     small_ring,
 )
 from .series import GradedPoly
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    command: str
-    model: str | None = None
-    model_file: str | None = None
-    r: int | None = None
-    d_max: int | None = None
-    m: int | None = None
-    space: str | None = None
-    suite: str | None = None
-    fmt: str = "text"
-    check: bool = False
 
 
 @dataclass
@@ -126,22 +111,22 @@ class ConfigError(ValueError):
     """Invalid flag combination or bound; maps to exit code 2."""
 
 
-def _resolve_model(config: RunConfig) -> FanoModel:
-    if config.model_file:
-        return load_model(config.model_file)
-    if config.model is None:
+def _resolve_model(args: argparse.Namespace) -> FanoModel:
+    if args.model_file:
+        return load_model(args.model_file)
+    if args.model is None:
         raise ConfigError("a model is required (--model or --model-file)")
-    if config.model == "pr" and config.r is None:
+    if args.model == "pr" and args.r is None:
         raise ConfigError("--model pr needs --r")
-    return builtin_model(config.model, r=config.r)
+    return builtin_model(args.model, r=args.r)
 
 
-def _require_dmax(config: RunConfig, minimum: int = 1) -> int:
-    if config.d_max is None:
-        raise ConfigError(f"{config.command} needs --dmax")
-    if config.d_max < minimum:
+def _require_dmax(args: argparse.Namespace, minimum: int = 1) -> int:
+    if args.dmax is None:
+        raise ConfigError(f"{args.command} needs --dmax")
+    if args.dmax < minimum:
         raise ConfigError(f"--dmax must be at least {minimum}")
-    return config.d_max
+    return args.dmax
 
 
 def _table_rows(table: GWTable) -> list[tuple[tuple[int, ...], int]]:
@@ -156,34 +141,34 @@ def _table_rows(table: GWTable) -> list[tuple[tuple[int, ...], int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_nd(config: RunConfig) -> Report:
-    d_max = _require_dmax(config)
+def _cmd_nd(args: argparse.Namespace) -> Report:
+    d_max = _require_dmax(args)
     table = nd_plane(d_max)
     rows = [((d,), table.get((d,), (3 * d - 1,))) for d in range(1, d_max + 1)]
     report = Report("p2", "nd", {"dmax": d_max}, ["d"], rows)
-    if config.check:
+    if args.check:
         report.checks.extend(_boundary_equivalence_checks(table, d_max))
     return report
 
 
-def _cmd_fano3(config: RunConfig) -> Report:
-    d_max = _require_dmax(config)
-    table = fano3_solve(config.space, d_max)
+def _cmd_fano3(args: argparse.Namespace) -> Report:
+    d_max = _require_dmax(args)
+    table = fano3_solve(args.space, d_max)
     rows = [(n, value) for (_, n), value in table.sorted_items()]
-    report = Report(config.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
-    if config.check:
+    report = Report(args.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
+    if args.check:
         # the associativity residuals are a second route to the same numbers
         bundle = build_potential(table.model, table, table.c1_max)
         report.checks.extend(_wdvv_checks(bundle))
     return report
 
 
-def _cmd_wdvv_count(config: RunConfig) -> Report:
-    if config.m is None or config.m < 2:
+def _cmd_wdvv_count(args: argparse.Namespace) -> Report:
+    if args.m is None or args.m < 2:
         raise ConfigError("wdvv-count needs --m of at least 2")
-    rows = [((m,), wdvv_count(m)) for m in range(2, config.m + 1)]
-    report = Report("-", "wdvv-count", {"m": config.m}, ["m"], rows)
-    for m in range(2, min(config.m, 7) + 1):
+    rows = [((m,), wdvv_count(m)) for m in range(2, args.m + 1)]
+    report = Report("-", "wdvv-count", {"m": args.m}, ["m"], rows)
+    for m in range(2, min(args.m, 7) + 1):
         classes = len(wdvv_canonical_equations(m))
         report.checks.append(
             (
@@ -201,9 +186,9 @@ def _solve_c1_max(model: FanoModel, d_max: int) -> int:
     return d_max * max(model.effective_c1)
 
 
-def _cmd_solve(config: RunConfig) -> Report:
-    model = _resolve_model(config)
-    d_max = _require_dmax(config)
+def _cmd_solve(args: argparse.Namespace) -> Report:
+    model = _resolve_model(args)
+    d_max = _require_dmax(args)
     c1_max = _solve_c1_max(model, d_max)
     table = wdvv_solve(model, standard_seeds(model), c1_max)
     p = model.divisor_count
@@ -212,14 +197,14 @@ def _cmd_solve(config: RunConfig) -> Report:
     report = Report(
         model.name, "solve", {"dmax": d_max, "c1max": c1_max}, names, _table_rows(table)
     )
-    if config.check:
+    if args.check:
         bundle = build_potential(model, table, table.c1_max)
         report.checks.extend(_wdvv_checks(bundle))
     return report
 
 
-def _cmd_qring(config: RunConfig) -> Report:
-    model = _resolve_model(config)
+def _cmd_qring(args: argparse.Namespace) -> Report:
+    model = _resolve_model(args)
     c1_max = 2 * model.dimension
     table = standard_table(model, c1_max)
     ring = small_ring(model, table)
@@ -367,17 +352,12 @@ def _grassmannian_checks(p: int, n: int):
     except ArithmeticError as exc:
         return [("gr-presentation-rank", False, str(exc))]
 
-    def lift(poly: GradedPoly) -> GradedPoly:
-        return GradedPoly(
-            ideal.degrees, {mono + (0,): c for mono, c in poly.coeffs.items()}, ideal.names
-        )
-
     classical_ok = True
     for i in range(p + 1, n):
-        reduced = ideal.normal_form(lift(s_r_determinant(p, n, i)))
+        reduced = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, i), n))
         if not reduced.is_zero():
             classical_ok = False
-    top = ideal.normal_form(lift(s_r_determinant(p, n, n)))
+    top = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, n), n))
     q_mono = (0,) * k + (1,)
     if top.coeffs != {q_mono: -((-1) ** k)}:
         classical_ok = False
@@ -394,7 +374,7 @@ def _grassmannian_checks(p: int, n: int):
     checks.append(("gr-alternating-identity", identity.is_zero(), "formal identity"))
 
     sigma_k = ideal.variable(k - 1)
-    dual = lift(s_r_determinant(p, n, p))
+    dual = grassmannian_lift(s_r_determinant(p, n, p), n)
     product = ideal.normal_form(sigma_k * dual)
     q_poly = ideal.variable(k)
     seed_ok = product == ideal.normal_form(q_poly)
@@ -444,36 +424,36 @@ def _brute_force_boundary(model, n, beta):
     return found
 
 
-def _cmd_verify(config: RunConfig) -> Report:
-    if config.suite not in {"wdvv", "rings", "boundary", "all"}:
+def _cmd_verify(args: argparse.Namespace) -> Report:
+    if args.suite not in {"wdvv", "rings", "boundary", "all"}:
         raise ConfigError("--suite must be wdvv, rings, boundary, or all")
-    d_max = config.d_max if config.d_max is not None else 3
+    d_max = args.dmax if args.dmax is not None else 3
     if d_max < 1:
         raise ConfigError("--dmax must be at least 1")
-    bounds = {"suite": config.suite, "dmax": d_max}
+    bounds = {"suite": args.suite, "dmax": d_max}
 
-    name = config.model or "p2"
+    name = args.model or "p2"
     grass = name.startswith("gr") and name[2:].isdigit() and len(name) == 4
     if grass:
-        if config.suite not in {"rings", "all"}:
+        if args.suite not in {"rings", "all"}:
             raise ConfigError(f"model {name} supports only the rings suite")
         report = Report(name, "verify", bounds, [])
         report.checks.extend(_grassmannian_checks(int(name[2]), int(name[3])))
         return report
 
-    model = _resolve_model(config) if config.model or config.model_file else builtin_model("p2")
+    model = _resolve_model(args) if args.model or args.model_file else builtin_model("p2")
     report = Report(model.name, "verify", bounds, [])
-    if config.suite in {"wdvv", "rings", "all"}:
+    if args.suite in {"wdvv", "rings", "all"}:
         table = standard_table(model, _solve_c1_max(model, d_max))
         bundle = build_potential(model, table, table.c1_max)
-    if config.suite in {"wdvv", "all"}:
+    if args.suite in {"wdvv", "all"}:
         report.checks.extend(_wdvv_checks(bundle))
-    if config.suite in {"rings", "all"}:
+    if args.suite in {"rings", "all"}:
         report.checks.extend(_ring_checks(bundle))
         if 1 <= model.dimension <= 4 and model.same_data(builtin_model("pr", r=model.dimension)):
             report.checks.extend(_pr_checks(model.dimension))
     plane = model.same_data(builtin_model("p2"))
-    if config.suite == "boundary" or (config.suite == "all" and plane):
+    if args.suite == "boundary" or (args.suite == "all" and plane):
         if not plane:
             raise ConfigError("the boundary suite replays the plane argument; use --model p2")
         report.checks.extend(_boundary_checks(d_max))
@@ -546,20 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        model_file=getattr(args, "model_file", None),
-        r=getattr(args, "r", None),
-        d_max=getattr(args, "dmax", None),
-        m=getattr(args, "m", None),
-        space=getattr(args, "space", None),
-        suite=getattr(args, "suite", None),
-        fmt=args.format,
-        check=getattr(args, "check", False),
-    )
     try:
-        report = _HANDLERS[config.command](config)
+        report = _HANDLERS[args.command](args)
     except (ConfigError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -569,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(config.fmt))
+    sys.stdout.write(report.render(args.format))
     return 0 if report.all_passed else 1
 
 

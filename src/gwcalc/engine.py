@@ -496,11 +496,17 @@ def standard_table(model: FanoModel, c1_max: int) -> GWTable:
 
     A model whose data are those of p2, p3 or q3, under any name, gets its
     dedicated recursion; any other model is solved from its own seeds.  The
-    table is always returned on the caller's model.
+    table is always returned on the caller's model and covers exactly the
+    requested bound: ``c1_max`` is the request, and no entry lies above it.
     """
     for space in ("p2", "p3", "q3"):
         if model.same_data(builtin_model(space)):
             d_max = max(1, c1_max // model.effective_c1[0])
             table = nd_plane(d_max) if space == "p2" else fano3_solve(space, d_max)
-            return GWTable(model, table.c1_max, table.entries)
+            entries = {
+                key: value
+                for key, value in table.entries.items()
+                if model.c1_degree(key[0]) <= c1_max
+            }
+            return GWTable(model, c1_max, entries)
     return wdvv_solve(model, standard_seeds(model), c1_max)

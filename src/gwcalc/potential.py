@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .boundary import marking_splits
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
 from .series import GWSeries, MultiIndex, SeriesBounds, class_splits, series_partial
@@ -73,11 +74,14 @@ class PotentialBundle:
         cached = self._products.get((i, j))
         if cached is not None:
             return cached
-        out: Expansion = {f: GWSeries.zero(self.bounds) for f in range(self.model.rank)}
+        out: Expansion = {f: self.zero() for f in range(self.model.rank)}
         for e, f, gef in self.model.g_inv_pairs():
             out[f] = out[f] + self.phi(i, j, e).scale(gef)
         self._products[(i, j)] = out
         return out
+
+    def zero(self) -> GWSeries:
+        return GWSeries.zero(self.bounds)
 
     def gamma_partial(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the quantum part alone."""
@@ -155,11 +159,8 @@ def g_bracket(
         raise ValueError("q, r, s, t must be four distinct positions")
     if n < 4:
         raise ValueError("need at least four insertions")
-    free = [x for x in range(1, n + 1) if x not in positions]
     total = Fraction(0)
-    for mask in range(1 << len(free)):
-        side_a = {q, r} | {free[x] for x in range(len(free)) if mask >> x & 1}
-        side_b = set(range(1, n + 1)) - side_a
+    for side_a, side_b in marking_splits(n, (q, r), (s, t)):
         classes_a = [classes[x - 1] for x in sorted(side_a)]
         classes_b = [classes[x - 1] for x in sorted(side_b)]
         total += glue_sum(

@@ -2,9 +2,12 @@
 
 The big ring deforms the cup product by all counts: structure constants are
 divided-power series contracted from third partials of the potential.  The
-small ring keeps only the 3-point counts, giving a genuine graded deformation
-over polynomials in one parameter per divisor class; setting the parameters
-to zero recovers the cup product.
+small ring is the n = 0 slice of the same products: with every non-divisor
+coordinate set to zero only the 3-point counts survive, and the divisor
+directions remain as q^beta.  That is a graded deformation over polynomials
+in one parameter per divisor class; setting the parameters to zero recovers
+the cup product.  One routine multiplies an expansion by a basis class in
+either ring.
 
 Presentations are quotient descriptions of the small rings.  Normal forms
 are computed degree by degree: the ideal's graded piece is spanned by
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .potential import Expansion, PotentialBundle, glue_sum
+from .potential import Expansion, PotentialBundle, build_potential, glue_sum
 from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
 
 
@@ -37,14 +40,17 @@ def big_product(bundle: PotentialBundle, i: int, j: int) -> Expansion:
     return dict(bundle.product(i, j))
 
 
-def _star_expansion(bundle: PotentialBundle, expansion: Expansion, k: int) -> Expansion:
-    """Multiply an expansion by the basis class T_k on the right."""
-    model = bundle.model
-    out: Expansion = {f: GWSeries.zero(bundle.bounds) for f in range(model.rank)}
+def _star_expansion(ring, expansion: dict, k: int) -> dict:
+    """Multiply an expansion by the basis class T_k on the right.
+
+    ``ring`` is a :class:`PotentialBundle` or a :class:`QuantumRing`: it has
+    the model, the products T_e * T_k and a ``zero()`` coefficient.
+    """
+    out = {f: ring.zero() for f in range(ring.model.rank)}
     for e, coeff in expansion.items():
         if coeff.is_zero():
             continue
-        for f, factor in bundle.product(e, k).items():
+        for f, factor in ring.product(e, k).items():
             out[f] = out[f] + coeff * factor
     return out
 
@@ -71,51 +77,39 @@ def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion
 
 @dataclass
 class QuantumRing:
-    """Structure constants of a quantum product over the model's basis.
+    """Small quantum ring: structure constants over the model's basis.
 
-    ``kind`` is "big" (series coefficients) or "small" (polynomials in one
-    deformation parameter per divisor class).  Constants are stored for
+    Each constant is a polynomial in one deformation parameter per divisor
+    class, graded by the classes' c1-degrees.  Constants are stored for
     i <= j; the product is symmetric.
     """
 
     model: FanoModel
-    kind: str
-    constants: dict[tuple[int, int], dict[int, object]]
+    constants: dict[tuple[int, int], dict[int, GradedPoly]]
     q_degrees: tuple[int, ...] = ()
 
-    def product(self, i: int, j: int) -> dict[int, object]:
+    def product(self, i: int, j: int) -> dict[int, GradedPoly]:
         return self.constants[(min(i, j), max(i, j))]
 
-    # -- small-ring element arithmetic ---------------------------------
+    def _names(self) -> tuple[str, ...]:
+        return tuple(f"q{t + 1}" for t in range(len(self.q_degrees)))
 
-    def _zero_poly(self) -> GradedPoly:
-        names = tuple(f"q{t + 1}" for t in range(len(self.q_degrees)))
-        return GradedPoly.zero(self.q_degrees, names)
+    def zero(self) -> GradedPoly:
+        return GradedPoly.zero(self.q_degrees, self._names())
 
     def star_element(self, element: dict[int, GradedPoly], j: int) -> dict[int, GradedPoly]:
-        """Right-multiply an expansion sum_e a_e T_e by T_j (small ring)."""
-        if self.kind != "small":
-            raise ValueError("element arithmetic is provided for small rings")
-        out = {f: self._zero_poly() for f in range(self.model.rank)}
-        for e, coeff in element.items():
-            if coeff.is_zero():
-                continue
-            for f, factor in self.product(e, j).items():
-                out[f] = out[f] + coeff * factor
-        return out
+        """Right-multiply an expansion sum_e a_e T_e by T_j."""
+        return _star_expansion(self, element, j)
 
     def basis_power(self, i: int, exponent: int) -> dict[int, GradedPoly]:
         """The exponent-fold product T_i * ... * T_i as an expansion."""
-        names = tuple(f"q{t + 1}" for t in range(len(self.q_degrees)))
-        element = {0: GradedPoly.constant(self.q_degrees, 1, names)}
+        element = {0: GradedPoly.constant(self.q_degrees, 1, self._names())}
         for _ in range(exponent):
             element = self.star_element(element, i)
         return element
 
     def specialize_q0(self) -> dict[tuple[int, int], dict[int, int]]:
         """Constant terms of all structure constants (the classical product)."""
-        if self.kind != "small":
-            raise ValueError("q=0 specialization applies to small rings")
         zero_mono = (0,) * len(self.q_degrees)
         out = {}
         for key, expansion in self.constants.items():
@@ -127,17 +121,6 @@ class QuantumRing:
         return out
 
 
-def big_ring(bundle: PotentialBundle) -> QuantumRing:
-    """All big-ring structure constants of a potential bundle."""
-    rank = bundle.model.rank
-    constants = {
-        (i, j): big_product(bundle, i, j)
-        for i in range(rank)
-        for j in range(i, rank)
-    }
-    return QuantumRing(bundle.model, "big", constants)
-
-
 # ---------------------------------------------------------------------------
 # Small quantum ring
 # ---------------------------------------------------------------------------
@@ -146,57 +129,32 @@ def big_ring(bundle: PotentialBundle) -> QuantumRing:
 def small_ring(model: FanoModel, table: GWTable) -> QuantumRing:
     """Small quantum ring from the 3-point counts of a table.
 
-    T_i * T_j = T_i cup T_j + corrections q^beta per effective class whose
-    anticanonical degree matches the codimension bookkeeping.  Requires the
-    table to cover c1-degree up to twice the dimension.
+    The small ring is the n = 0 slice of the big product: the coefficient of
+    T_f in T_i * T_j at the key (beta, 0) is sum_e <T_i T_j T_e>_beta g^{ef},
+    the constant of q^beta.  The potential is built at c1-degree twice the
+    dimension, which bounds every 3-point count, so the table must cover it.
     """
-    rank = model.rank
+    bundle = build_potential(model, table, 2 * model.dimension)
     q_degrees = model.effective_c1
-    names = tuple(f"q{t + 1}" for t in range(len(q_degrees)))
-    constants: dict[tuple[int, int], dict[int, GradedPoly]] = {}
-    for i in range(rank):
-        for j in range(i, rank):
-            accum: dict[int, dict[MultiIndex, Fraction]] = {
-                f: {} for f in range(rank)
-            }
-            for e, f, gef in model.g_inv_pairs():
-                # classical part
-                cup = model.triple(i, j, e)
-                if cup:
-                    _bump(accum[f], (0,) * len(q_degrees), Fraction(cup) * gef)
-                # quantum part: the needed c1-degree is pinned by codimensions
-                needed = model.codim(i) + model.codim(j) + model.codim(e) - model.dimension
-                if needed < 2:
-                    continue
-                for beta in model.effective_classes(needed):
-                    if not any(beta) or model.c1_degree(beta) != needed:
-                        continue
-                    value = gw_invariant(model, table, beta, [i, j, e])
-                    if value:
-                        _bump(accum[f], beta, Fraction(value) * gef)
+    ring = QuantumRing(model, {}, q_degrees)
+    no_insertions = (0,) * len(model.nondivisor_indices)
+    for i in range(model.rank):
+        for j in range(i, model.rank):
             expansion = {}
-            for f, monos in accum.items():
+            for f, series in bundle.product(i, j).items():
                 terms = {}
-                for mono, coeff in monos.items():
-                    if coeff == 0:
+                for (beta, n), coeff in series.coeffs.items():
+                    if n != no_insertions:
                         continue
                     if coeff.denominator != 1:
                         raise ArithmeticError(
                             f"non-integral structure constant {coeff} at "
                             f"T_{i} * T_{j} -> T_{f}"
                         )
-                    terms[mono] = int(coeff)
-                expansion[f] = GradedPoly(q_degrees, terms, names)
-            constants[(i, j)] = expansion
-    return QuantumRing(model, "small", constants, q_degrees)
-
-
-def _bump(store: dict[MultiIndex, Fraction], mono: MultiIndex, value: Fraction) -> None:
-    acc = store.get(mono, Fraction(0)) + value
-    if acc:
-        store[mono] = acc
-    else:
-        store.pop(mono, None)
+                    terms[beta] = int(coeff)
+                expansion[f] = GradedPoly(q_degrees, terms, ring._names())
+            ring.constants[(i, j)] = expansion
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +236,14 @@ class PresentationIdeal:
         for mono, coeff in poly.coeffs.items():
             degree = sum(e * d for e, d in zip(mono, self.degrees))
             _, rewrite = self._reduction(degree)
-            replacement = rewrite.get(mono)
-            if replacement is None:
-                _bump(out, mono, Fraction(coeff))
-            else:
-                for target, factor in replacement.items():
-                    _bump(out, target, Fraction(coeff) * factor)
-        terms = {}
-        for mono, coeff in out.items():
+            for target, factor in rewrite.get(mono, {mono: 1}).items():
+                out[target] = out.get(target, 0) + coeff * factor
+        for coeff in out.values():
             if coeff.denominator != 1:
                 raise ArithmeticError(
                     f"normal form of {poly} has non-integral coefficient {coeff}"
                 )
-            terms[mono] = int(coeff)
-        return GradedPoly(self.degrees, terms, self.names)
+        return GradedPoly.build(self.degrees, {m: int(c) for m, c in out.items()}, self.names)
 
     def reduces_to_zero(self, poly: GradedPoly) -> bool:
         return self.normal_form(poly).is_zero()
@@ -371,6 +323,16 @@ def _box_betti(p: int, k: int) -> list[int]:
     return counts
 
 
+def grassmannian_lift(poly: GradedPoly, n: int) -> GradedPoly:
+    """A polynomial in sigma_1..sigma_{n-p}, moved into the presentation ring
+    of the Grassmannian in n-space, where q of degree n follows the sigmas."""
+    return GradedPoly(
+        poly.degrees + (n,),
+        {mono + (0,): c for mono, c in poly.coeffs.items()},
+        poly.names + ("q",),
+    )
+
+
 def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
     """Small-ring presentation of the Grassmannian of p-planes in n-space.
 
@@ -386,15 +348,9 @@ def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
         raise ValueError("presentation supported up to p*(n-p) <= 6")
     degrees = tuple(range(1, k + 1)) + (n,)
     names = tuple(f"s{i}" for i in range(1, k + 1)) + ("q",)
-
-    def lift(poly: GradedPoly) -> GradedPoly:
-        return GradedPoly(
-            degrees, {mono + (0,): c for mono, c in poly.coeffs.items()}, names
-        )
-
-    relations = [lift(s_r_determinant(p, n, r)) for r in range(p + 1, n)]
+    relations = [grassmannian_lift(s_r_determinant(p, n, r), n) for r in range(p + 1, n)]
     q_mono = (0,) * k + (1,)
-    top = lift(s_r_determinant(p, n, n)) + GradedPoly(
+    top = grassmannian_lift(s_r_determinant(p, n, n), n) + GradedPoly(
         degrees, {q_mono: (-1) ** k}, names
     )
     relations.append(top)

@@ -385,6 +385,19 @@ def test_standard_table_routes(p2, q3):
     assert table.get((1,), (0, 3, 0)) == 1
 
 
+@pytest.mark.parametrize("name", ["p2", "p3", "q3"])
+def test_standard_table_covers_exactly_the_request(name):
+    model = builtin_model(name)
+    step = model.effective_c1[0]
+    for c1_max in (step - 1, step + 1, 2 * step - 1, 2 * step + 1):
+        table = standard_table(model, c1_max)
+        assert table.c1_max == c1_max
+        assert all(model.c1_degree(beta) <= c1_max for beta, _ in table.entries)
+        # every degree the request reaches is still there
+        degrees = {beta[0] for beta, _ in table.entries}
+        assert degrees == set(range(1, c1_max // step + 1))
+
+
 @pytest.mark.parametrize("r", [10, 12])
 def test_standard_seeds_large_projective_spaces(r):
     # a model named pr(r) once fell through the name-keyed seed table

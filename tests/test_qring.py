@@ -8,12 +8,12 @@ from gwcalc import (
     PotentialBundle,
     big_associator,
     big_product,
-    big_ring,
     build_potential,
     builtin_model,
     fixed_points_number,
     grassmannian_presentation,
     gw_invariant,
+    model_from_dict,
     pr_presentation,
     presentation_from_big,
     qring,
@@ -117,10 +117,9 @@ def test_product_of_lines_associators():
 
 
 def test_big_ring_collects_constants(plane_potential):
-    ring = big_ring(plane_potential)
-    assert ring.kind == "big"
-    assert set(ring.constants) == {(i, j) for i in range(3) for j in range(i, 3)}
-    assert ring.product(1, 1)[2] == GWSeries.constant(plane_potential.bounds, 1)
+    for i, j in itertools.product(range(3), repeat=2):
+        assert set(big_product(plane_potential, i, j)) == {0, 1, 2}
+    assert big_product(plane_potential, 1, 1)[2] == GWSeries.constant(plane_potential.bounds, 1)
 
 
 # -- products and associators cached on the bundle ---------------------------
@@ -294,6 +293,65 @@ def test_small_ring_q0_is_cup_product():
 def test_small_ring_commutative_storage(q3):
     ring = small_ring(q3, standard_table(q3, 6))
     assert ring.product(1, 2) is ring.product(2, 1)
+
+
+def _small_ring_by_invariants(model, table):
+    """Independent route to the small ring: T_i * T_j -> T_f gathers
+    <T_i T_j T_e>_beta g^{ef} q^beta over the effective classes whose
+    c1-degree the codimensions pin down, each count read by gw_invariant."""
+    constants = {}
+    for i in range(model.rank):
+        for j in range(i, model.rank):
+            accum = {f: {} for f in range(model.rank)}
+            zero = (0,) * model.divisor_count
+            for e, f, gef in model.g_inv_pairs():
+                cup = model.triple(i, j, e)
+                if cup:
+                    accum[f][zero] = accum[f].get(zero, 0) + Fraction(cup) * gef
+                needed = model.codim(i) + model.codim(j) + model.codim(e) - model.dimension
+                for beta in model.effective_classes(needed):
+                    if not any(beta) or model.c1_degree(beta) != needed:
+                        continue
+                    value = gw_invariant(model, table, beta, [i, j, e])
+                    if value:
+                        accum[f][beta] = accum[f].get(beta, 0) + Fraction(value) * gef
+            constants[(i, j)] = {
+                f: {beta: c for beta, c in terms.items() if c} for f, terms in accum.items()
+            }
+    return constants
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("pr", 4), ("pr", 5), ("pr", 6),
+     ("file", "P1XP2"), ("file", "Q3_HYPERPLANE")],
+)
+def test_small_ring_matches_the_invariant_oracle(spec):
+    if spec[0] == "file":
+        import test_oracles
+
+        model = model_from_dict(getattr(test_oracles, spec[1]))
+    else:
+        model = builtin_model(*spec)
+    table = standard_table(model, 2 * model.dimension)
+    ring = small_ring(model, table)
+    expected = _small_ring_by_invariants(model, table)
+    assert {key: {f: dict(poly.coeffs) for f, poly in expansion.items()}
+            for key, expansion in ring.constants.items()} == expected
+    # some class contributes, so the comparison reaches the quantum terms
+    assert any(any(beta) for expansion in expected.values()
+               for terms in expansion.values() for beta in terms)
+
+
+@pytest.mark.parametrize("name, short", [("p2", 3), ("p3", 5), ("q3", 5), ("p1xp1", 2)])
+def test_small_ring_refuses_a_shallow_table(name, short):
+    model = builtin_model(name)
+    table = standard_table(model, short)
+    with pytest.raises(ValueError) as info:
+        small_ring(model, table)
+    message = str(info.value)
+    assert f"c1-degree {2 * model.dimension}" in message
+    assert f"coverage {short}" in message
 
 
 def test_product_of_lines_small_ring():
