@@ -35,6 +35,7 @@ from .engine import (
 from .model import FanoModel, ModelError, builtin_model, load_model
 from .potential import PotentialBundle, build_potential, wdvv_residual
 from .qring import (
+    QuantumRing,
     big_associator,
     big_product,
     grassmannian_lift,
@@ -248,7 +249,7 @@ def _wdvv_checks(bundle: PotentialBundle):
     return checks
 
 
-def _ring_checks(bundle: PotentialBundle):
+def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
     checks = []
     model = bundle.model
     rank = model.rank
@@ -285,7 +286,6 @@ def _ring_checks(bundle: PotentialBundle):
         except ArithmeticError as exc:
             checks.append(("plane-cubic-presentation", False, str(exc)))
 
-    ring = small_ring(model, standard_table(model, 2 * model.dimension))
     homogeneous = True
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
@@ -307,11 +307,9 @@ def _ring_checks(bundle: PotentialBundle):
     return checks
 
 
-def _pr_checks(r: int):
+def _pr_checks(ring: QuantumRing):
     checks = []
-    model = builtin_model("pr", r=r)
-    table = standard_table(model, 2 * r)
-    ring = small_ring(model, table)
+    r = ring.model.dimension
     rules_ok = True
     for i in range(1, r + 1):
         for j in range(i, r + 1):
@@ -443,15 +441,19 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
     model = _resolve_model(args) if args.model or args.model_file else builtin_model("p2")
     report = Report(model.name, "verify", bounds, [])
-    if args.suite in {"wdvv", "rings", "all"}:
-        table = standard_table(model, _solve_c1_max(model, d_max))
-        bundle = build_potential(model, table, table.c1_max)
+    rings = args.suite in {"rings", "all"}
+    if args.suite != "boundary":
+        # one table: the sweeps read it to the --dmax bound, the small ring to 2 * dim
+        c1_max = _solve_c1_max(model, d_max)
+        table = standard_table(model, max(c1_max, 2 * model.dimension) if rings else c1_max)
+        bundle = build_potential(model, table, c1_max)
     if args.suite in {"wdvv", "all"}:
         report.checks.extend(_wdvv_checks(bundle))
-    if args.suite in {"rings", "all"}:
-        report.checks.extend(_ring_checks(bundle))
+    if rings:
+        ring = small_ring(model, table)
+        report.checks.extend(_ring_checks(bundle, ring))
         if 1 <= model.dimension <= 4 and model.same_data(builtin_model("pr", r=model.dimension)):
-            report.checks.extend(_pr_checks(model.dimension))
+            report.checks.extend(_pr_checks(ring))
     plane = model.same_data(builtin_model("p2"))
     if args.suite == "boundary" or (args.suite == "all" and plane):
         if not plane:

@@ -6,12 +6,14 @@ partials are the series
 
     phi_{ijk} = (classical triple product)  +  d^3(potential)/dy_i dy_j dy_k,
 
-the brackets contract two of them against the inverse pairing, and the
-residual of an index quadruple is the difference of the two bracket orders.
-For a correct table every residual vanishes identically.  The dimension
-constraint sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps the total degree
-of every key at dim + c1 - 3, so within a c1 bound the series are exact on
-their whole truncation box and a residual is checked at every stored key.
+the big product T_i * T_j has the coefficients sum_e phi_{ije} g^{ef}, and
+the bracket F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>
+is the one contraction behind every triple product of the big ring.  The
+residual of an index quadruple is the difference of two bracket orders; for
+a correct table it vanishes identically.  The dimension constraint
+sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps the total degree of every
+key at dim + c1 - 3, so within a c1 bound the series are exact on their
+whole truncation box and a residual is checked at every stored key.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class PotentialBundle:
 
     ``_phi`` holds the third partials, keyed by the sorted index triple.
     ``_products`` holds the big-ring products T_i * T_j, keyed by the ordered
-    pair, so the two orders are still built separately.  ``_left`` holds the
-    left products (T_i * T_j) * T_k of the associator sweep, keyed by the
-    ordered triple; ``qring`` fills it.  Cached expansions are shared;
+    pair, so the two orders are still built separately.  ``_brackets`` holds
+    the ``f_bracket`` values F(i,j|k,l), keyed by (i, j, min(k, l), max(k, l))
+    since phi is symmetric in k and l.  Cached values are shared;
     ``qring.big_product`` hands out copies.
     """
 
@@ -47,7 +49,7 @@ class PotentialBundle:
     gamma: GWSeries
     _phi: dict[tuple[int, int, int], GWSeries] = field(default_factory=dict)
     _products: dict[tuple[int, int], Expansion] = field(default_factory=dict)
-    _left: dict[tuple[int, int, int], Expansion] = field(default_factory=dict)
+    _brackets: dict[tuple[int, int, int, int], GWSeries] = field(default_factory=dict)
 
     def phi(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the full potential, classical part included.
@@ -72,16 +74,19 @@ class PotentialBundle:
     def product(self, i: int, j: int) -> Expansion:
         """Expansion of T_i * T_j over the basis; the cached dict itself."""
         cached = self._products.get((i, j))
-        if cached is not None:
-            return cached
-        out: Expansion = {f: self.zero() for f in range(self.model.rank)}
-        for e, f, gef in self.model.g_inv_pairs():
-            out[f] = out[f] + self.phi(i, j, e).scale(gef)
-        self._products[(i, j)] = out
-        return out
+        if cached is None:
+            cached = self._products[(i, j)] = self.raise_index(
+                [self.phi(i, j, e) for e in range(self.model.rank)]
+            )
+        return cached
 
-    def zero(self) -> GWSeries:
-        return GWSeries.zero(self.bounds)
+    def raise_index(self, covector: Sequence[GWSeries]) -> Expansion:
+        """The element X = sum_f X_f T_f with <X, T_e> = covector[e], that is
+        X_f = sum_e covector[e] g^{ef}."""
+        out: Expansion = {f: GWSeries.zero(self.bounds) for f in range(self.model.rank)}
+        for e, f, gef in self.model.g_inv_pairs():
+            out[f] = out[f] + covector[e].scale(gef)
+        return out
 
     def gamma_partial(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the quantum part alone."""
@@ -124,11 +129,17 @@ def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialB
 
 
 def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:
-    """Contraction sum_{e,f} phi_{ije} g^{ef} phi_{fkl} as a series."""
-    total = GWSeries.zero(bundle.bounds)
-    for e, f, gef in bundle.model.g_inv_pairs():
-        total = total + (bundle.phi(i, j, e) * bundle.phi(f, k, l)).scale(gef)
-    return total
+    """F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>,
+    built once per bundle; (k, l) and (l, k) share one entry."""
+    key = (i, j, min(k, l), max(k, l))
+    cached = bundle._brackets.get(key)
+    if cached is None:
+        cached = GWSeries.zero(bundle.bounds)
+        for f, coeff in bundle.product(i, j).items():
+            if not coeff.is_zero():
+                cached = cached + coeff * bundle.phi(f, k, l)
+        bundle._brackets[key] = cached
+    return cached
 
 
 def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:

@@ -1,13 +1,13 @@
 """Quantum cohomology as structure-constant algebras, with presentations.
 
 The big ring deforms the cup product by all counts: structure constants are
-divided-power series contracted from third partials of the potential.  The
-small ring is the n = 0 slice of the same products: with every non-divisor
-coordinate set to zero only the 3-point counts survive, and the divisor
-directions remain as q^beta.  That is a graded deformation over polynomials
-in one parameter per divisor class; setting the parameters to zero recovers
-the cup product.  One routine multiplies an expansion by a basis class in
-either ring.
+divided-power series contracted from third partials of the potential, and
+its triple products are read off the potential's cached brackets through
+<(T_i * T_j) * T_k, T_l> = F(i,j|k,l).  The small ring is the n = 0 slice of
+the same products: with every non-divisor coordinate set to zero only the
+3-point counts survive, and the divisor directions remain as q^beta.  That
+is a graded deformation over polynomials in one parameter per divisor
+class; setting the parameters to zero recovers the cup product.
 
 Presentations are quotient descriptions of the small rings.  Normal forms
 are computed degree by degree: the ideal's graded piece is spanned by
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .potential import Expansion, PotentialBundle, build_potential, glue_sum
+from .potential import Expansion, PotentialBundle, build_potential, f_bracket, glue_sum
 from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
 
 
@@ -40,39 +40,16 @@ def big_product(bundle: PotentialBundle, i: int, j: int) -> Expansion:
     return dict(bundle.product(i, j))
 
 
-def _star_expansion(ring, expansion: dict, k: int) -> dict:
-    """Multiply an expansion by the basis class T_k on the right.
-
-    ``ring`` is a :class:`PotentialBundle` or a :class:`QuantumRing`: it has
-    the model, the products T_e * T_k and a ``zero()`` coefficient.
-    """
-    out = {f: ring.zero() for f in range(ring.model.rank)}
-    for e, coeff in expansion.items():
-        if coeff.is_zero():
-            continue
-        for f, factor in ring.product(e, k).items():
-            out[f] = out[f] + coeff * factor
-    return out
-
-
-def _left_product(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion:
-    """(T_i * T_j) * T_k, built once per bundle."""
-    key = (i, j, k)
-    cached = bundle._left.get(key)
-    if cached is None:
-        cached = bundle._left[key] = _star_expansion(bundle, bundle.product(i, j), k)
-    return cached
-
-
 def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion:
     """(T_i * T_j) * T_k - T_i * (T_j * T_k), coefficient by coefficient.
 
-    The right side is the left product (T_j * T_k) * T_i, so across a sweep
-    of all triples each left product is built once.
+    The sides pair with T_l to F(i,j|k,l) and F(j,k|i,l), so the coefficient
+    of T_f is the WDVV residual with its last index raised by g^{lf}.
     """
-    left = _left_product(bundle, i, j, k)
-    rights = _left_product(bundle, j, k, i)
-    return {f: left[f] - rights[f] for f in left}
+    rank = bundle.model.rank
+    return bundle.raise_index(
+        [f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l) for l in range(rank)]
+    )
 
 
 @dataclass
@@ -99,7 +76,13 @@ class QuantumRing:
 
     def star_element(self, element: dict[int, GradedPoly], j: int) -> dict[int, GradedPoly]:
         """Right-multiply an expansion sum_e a_e T_e by T_j."""
-        return _star_expansion(self, element, j)
+        out = {f: self.zero() for f in range(self.model.rank)}
+        for e, coeff in element.items():
+            if coeff.is_zero():
+                continue
+            for f, factor in self.product(e, j).items():
+                out[f] = out[f] + coeff * factor
+        return out
 
     def basis_power(self, i: int, exponent: int) -> dict[int, GradedPoly]:
         """The exponent-fold product T_i * ... * T_i as an expansion."""
@@ -399,10 +382,10 @@ class BigRingPresentation:
 def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
     """Verify the hyperplane cubic in the plane's big ring.
 
-    Expands the triple star power of T_1 and subtracts the cubic with
-    coefficients given by the three quantum third partials; the residual
-    must vanish at every key of the truncation box in every basis
-    coefficient.
+    Expands the triple star power of T_1, whose pairing with T_l is the
+    bracket F(1,1|1,l), and subtracts the cubic with coefficients given by
+    the three quantum third partials; the residual must vanish at every key
+    of the truncation box in every basis coefficient.
     """
     model = bundle.model
     if (model.dimension, model.top_index, model.divisor_count) != (2, 2, 1):
@@ -411,7 +394,7 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
     g112 = bundle.gamma_partial(1, 1, 2)
     g122 = bundle.gamma_partial(1, 2, 2)
     pow2 = bundle.product(1, 1)
-    pow3 = _star_expansion(bundle, pow2, 1)
+    pow3 = bundle.raise_index([f_bracket(bundle, 1, 1, 1, l) for l in range(model.rank)])
     residuals: Expansion = {}
     for f in range(model.rank):
         series = pow3[f] - g111 * pow2[f]

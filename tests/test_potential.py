@@ -65,7 +65,7 @@ def test_phi_with_unit_index_is_pairing(q3, q3_potential):
 @pytest.mark.parametrize("name, c1_max", [("p2", 9), ("p3", 12), ("q3", 9), ("p1xp1", 6)])
 def test_unimodular_models_keep_int_coefficients(name, c1_max):
     # every built-in pairing is unimodular, so no Fraction may enter the
-    # third partials, the cached big products or the residuals
+    # third partials, the cached big products and brackets or the residuals
     model = builtin_model(name)
     table = standard_table(model, c1_max)
     bundle = build_potential(model, table, c1_max)
@@ -80,10 +80,11 @@ def test_unimodular_models_keep_int_coefficients(name, c1_max):
         for potential in (bundle, raised)
         for eq in wdvv_canonical_equations(model.top_index)
     ]
+    assert bundle._brackets
     series = [
         *bundle._phi.values(),
         *(s for expansion in bundle._products.values() for s in expansion.values()),
-        *(s for expansion in bundle._left.values() for s in expansion.values()),
+        *bundle._brackets.values(),
         *residuals,
     ]
     values = [v for s in series for v in s.coeffs.values()]

@@ -1,4 +1,6 @@
+import io
 import itertools
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -10,19 +12,19 @@ from gwcalc import (
     big_product,
     build_potential,
     builtin_model,
+    f_bracket,
     fixed_points_number,
     grassmannian_presentation,
     gw_invariant,
     model_from_dict,
     pr_presentation,
     presentation_from_big,
-    qring,
     s_r_determinant,
     small_ring,
     standard_table,
 )
 from gwcalc import cli
-from gwcalc.cli import _ring_checks
+from gwcalc.cli import _ring_checks, _wdvv_checks
 from gwcalc.series import GWSeries, GradedPoly
 
 
@@ -129,6 +131,11 @@ def _uncached(bundle):
     return PotentialBundle(bundle.model, bundle.bounds, bundle.gamma)
 
 
+@pytest.fixture(scope="module")
+def p3_ring(p3, p3_table):
+    return small_ring(p3, p3_table)
+
+
 @pytest.mark.parametrize("name", ["plane_potential", "p3_potential", "q3_potential"])
 def test_cached_products_match_uncached_bundles(request, name):
     bundle = request.getfixturevalue(name)
@@ -149,21 +156,62 @@ def test_big_product_returns_a_fresh_dict(plane_potential):
     assert big_associator(bundle, 1, 1, 2) == big_associator(_uncached(bundle), 1, 1, 2)
 
 
-def test_ring_checks_build_each_left_product_once(monkeypatch, p3_potential):
-    calls = []
-    star = qring._star_expansion
+class _RecordingDict(dict):
+    """A cache that remembers every key written to it."""
 
-    def counting(*args):
-        calls.append(args[2])
-        return star(*args)
+    def __init__(self):
+        super().__init__()
+        self.writes = []
 
-    monkeypatch.setattr(qring, "_star_expansion", counting)
-    checks = _ring_checks(_uncached(p3_potential))
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+def test_sweeps_build_each_bracket_once(p3_potential, p3_ring):
+    bundle = _uncached(p3_potential)
+    bundle._brackets = _RecordingDict()
+    checks = _wdvv_checks(bundle) + _ring_checks(bundle, p3_ring)
     assert all(ok for _, ok, _ in checks)
-    assert len(calls) <= (p3_potential.model.rank - 1) ** 3
+    # F(i,j|k,l) = F(i,j|l,k): both orders count as one bracket
+    built = [(i, j, frozenset((k, l))) for i, j, k, l in bundle._brackets.writes]
+    assert built and len(built) == len(set(built))
 
 
-def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential):
+def test_verify_makes_fewer_series_products(monkeypatch):
+    calls = []
+    multiply = GWSeries.__mul__
+
+    def counting(left, right):
+        calls.append(1)
+        return multiply(left, right)
+
+    monkeypatch.setattr(GWSeries, "__mul__", counting)
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "all", "--model", "p3", "--dmax", "6"])
+    assert code == 0
+    # products of products took 396 products here
+    assert 0 < len(calls) < 396
+
+
+@pytest.mark.parametrize("d_max", [1, 6])
+def test_verify_solves_one_table(monkeypatch, d_max):
+    bounds = []
+    solve = cli.standard_table
+
+    def counting(model, c1_max):
+        bounds.append(c1_max)
+        return solve(model, c1_max)
+
+    monkeypatch.setattr(cli, "standard_table", counting)
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "all", "--model", "p3", "--dmax", str(d_max)])
+    assert code == 0
+    # the sweeps read 4 * d_max, the small ring 2 * dim = 6
+    assert bounds == [max(4 * d_max, 6)]
+
+
+def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential, p3_ring):
     calls = []
     product = cli.big_product
 
@@ -172,7 +220,7 @@ def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential):
         return product(bundle, i, j)
 
     monkeypatch.setattr(cli, "big_product", counting)
-    checks = _ring_checks(_uncached(p3_potential))
+    checks = _ring_checks(_uncached(p3_potential), p3_ring)
     assert all(ok for _, ok, _ in checks)
     rank = p3_potential.model.rank
     assert len(calls) <= 2 * rank ** 2 + rank
@@ -182,11 +230,11 @@ def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential):
     }
 
 
-def test_ring_checks_catch_a_corrupted_cached_product(p3_potential):
+def test_ring_checks_catch_a_corrupted_cached_product(p3_potential, p3_ring):
     bundle = _uncached(p3_potential)
     product = bundle.product(1, 2)
     product[0] = product[0] + GWSeries.constant(bundle.bounds, 1)
-    checks = {name: ok for name, ok, _ in _ring_checks(bundle)}
+    checks = {name: ok for name, ok, _ in _ring_checks(bundle, p3_ring)}
     assert checks["big-commutative"] is False
 
 
@@ -200,15 +248,14 @@ def test_plane_cubic_presentation(plane_potential):
 
 
 def test_plane_cubic_unit_coefficient(plane_potential):
-    # the unit coefficient of the triple power: quantum part of T1.T2.T2 plus
-    # the product of the two leading cubic coefficients
-    from gwcalc.qring import _star_expansion
-
-    pow3 = _star_expansion(plane_potential, big_product(plane_potential, 1, 1), 1)
+    # the unit coefficient of the triple power, its pairing with the point
+    # F(1,1|1,2): quantum part of T1.T2.T2 plus the product of the two
+    # leading cubic coefficients
+    unit = f_bracket(plane_potential, 1, 1, 1, 2)
     expected = plane_potential.gamma_partial(1, 2, 2) + plane_potential.gamma_partial(
         1, 1, 1
     ) * plane_potential.gamma_partial(1, 1, 2)
-    assert (pow3[0] - expected).is_zero()
+    assert (unit - expected).is_zero()
 
 
 def test_plane_cubic_degenerates_classically(p2):
@@ -221,6 +268,81 @@ def test_plane_cubic_degenerates_classically(p2):
 def test_cubic_requires_plane_shape(q3_potential):
     with pytest.raises(ValueError):
         presentation_from_big(q3_potential)
+
+
+# -- brackets against products of products ------------------------------------
+
+
+def _products_of_products(bundle):
+    """The route the brackets replace, contracted here from the third
+    partials alone: T_i * T_j, and an expansion times T_k one basis product
+    at a time."""
+    model, zero = bundle.model, GWSeries.zero(bundle.bounds)
+    products = {}
+
+    def product(i, j):
+        if (i, j) not in products:
+            products[(i, j)] = {
+                f: sum((bundle.phi(i, j, e).scale(model.g_inv(e, f)) for e in range(model.rank)), zero)
+                for f in range(model.rank)
+            }
+        return products[(i, j)]
+
+    def times(expansion, k):
+        out = {f: zero for f in range(model.rank)}
+        for e, coeff in expansion.items():
+            for f, factor in product(e, k).items():
+                out[f] = out[f] + coeff * factor
+        return out
+
+    return product, times
+
+
+def _raised_potential(model, c1_max):
+    """The potential of a table whose every count is one too large."""
+    table = standard_table(model, c1_max)
+    entries = {key: value + 1 for key, value in table.entries.items()}
+    return build_potential(model, GWTable(model, c1_max, entries), c1_max)
+
+
+@pytest.mark.parametrize(
+    "spec, c1_max",
+    [(("p2",), 9), (("p3",), 8), (("q3",), 6), (("p1xp1",), 4), (("pr", 4), 5),
+     (("file", "P1XP2"), 5), (("file", "Q3_HYPERPLANE"), 6)],
+    ids=["p2", "p3", "q3", "p1xp1", "p4", "p1xp2", "q3h"],
+)
+def test_associator_matches_products_of_products(spec, c1_max):
+    if spec[0] == "file":
+        import test_oracles
+
+        model = model_from_dict(getattr(test_oracles, spec[1]))
+    else:
+        model = builtin_model(*spec)
+    bundle = _raised_potential(model, c1_max)
+    product, times = _products_of_products(bundle)
+    nonzero = 0
+    for i, j, k in itertools.product(range(model.rank), repeat=3):
+        left, right = times(product(i, j), k), times(product(j, k), i)
+        expected = {f: left[f] - right[f] for f in range(model.rank)}
+        assert big_associator(bundle, i, j, k) == expected
+        nonzero += sum(not series.is_zero() for series in expected.values())
+    # the raised counts break associativity, so the comparison is not empty
+    assert nonzero
+
+
+def test_plane_cubic_matches_products_of_products(p2):
+    bundle = _raised_potential(p2, 9)
+    product, times = _products_of_products(bundle)
+    pow2, pow3 = product(1, 1), times(product(1, 1), 1)
+    assert any(any(beta) for series in pow3.values() for beta, _ in series.coeffs)
+    # the cubic holds in any potential; its triple power is read back from
+    # the residuals and the coefficient series
+    result = presentation_from_big(bundle)
+    cubic = result.coefficient_series
+    assert {
+        f: result.residuals[f] + cubic[2] * pow2[f] + (cubic[f] if f < 2 else GWSeries.zero(bundle.bounds))
+        for f in range(3)
+    } == pow3
 
 
 # -- small rings --------------------------------------------------------------
