@@ -9,8 +9,8 @@ classes).  Three producers are implemented:
   3-space and the quadric threefold, every value cross-checked against all
   applicable recursions,
 * ``wdvv_solve``:  a generic solver that solves each c1-degree level of the
-  associativity system as one exact linear system, built from the residual
-  series of :mod:`gwcalc.potential`.
+  associativity system as one exact linear system, its columns read off the
+  classical triple products (Kontsevich-Manin reconstruction).
 
 ``gw_invariant`` evaluates an arbitrary invariant from a table by the three
 reduction rules: a zero curve class gives the classical triple product, a
@@ -20,12 +20,14 @@ degree on the curve class.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import FanoModel, ModelError, builtin_model
-from .series import MultiIndex, binomial_row, binomial_z, compositions, row_reduce
+from .series import GWSeries, MultiIndex, binomial_row, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
 
@@ -354,16 +356,10 @@ class WdvvEquationId:
     @staticmethod
     def orbit(quad: tuple[int, int, int, int]) -> set[tuple[int, int, int, int]]:
         """Signed symmetry orbit, generated by the reversal (keeps sign) and
-        the outer swap (flips sign)."""
-        seen = {quad}
-        frontier = [quad]
-        while frontier:
-            i, j, k, l = frontier.pop()
-            for image in ((k, j, i, l), (l, k, j, i)):
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
-        return seen
+        the outer swap (flips sign): the eight symmetries of a 4-cycle."""
+        i, j, k, l = quad
+        rotations = [(i, j, k, l), (j, k, l, i), (k, l, i, j), (l, i, j, k)]
+        return {*rotations, *(image[::-1] for image in rotations)}
 
     @classmethod
     def canonicalize(cls, i: int, j: int, k: int, l: int) -> "WdvvEquationId | None":
@@ -390,14 +386,8 @@ def wdvv_canonical_equations(m: int) -> list[WdvvEquationId]:
     """One canonical representative per equation class on indices 1..m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    found: set[tuple[int, int, int, int]] = set()
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    eq = WdvvEquationId.canonicalize(i, j, k, l)
-                    if eq is not None:
-                        found.add(eq.indices)
+    quads = itertools.product(range(1, m + 1), repeat=4)
+    found = {eq.indices for quad in quads if (eq := WdvvEquationId.canonicalize(*quad))}
     return [WdvvEquationId(q, True) for q in sorted(found)]
 
 
@@ -409,18 +399,19 @@ def wdvv_canonical_equations(m: int) -> list[WdvvEquationId]:
 def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
     """Solve for every count with c1-degree at most ``c1_max`` from seeds.
 
-    Unknowns are solved level by level in the c1-degree, each level as one
-    exact linear system.  Its rows are the coefficients, at keys of the
-    level's c1-degree, of the associativity residual of every canonical
-    quadruple.  There the unknowns enter only linearly, against classical
-    triple products: the constant column is the residual of the counts known
-    so far, and the column of an unknown is the residual of the potential
-    holding that count alone at value 1.  Any other product of two such terms
-    lands at c1-degree 0 or twice the level, outside the rows.  Every row is
-    part of the system, so a solved level is also a verified one.
-    """
-    from .potential import build_potential, wdvv_residual  # potential imports engine
+    Each c1 level is one exact linear system: the coefficients, at the
+    level's keys, of the associativity residual of every canonical quadruple.
+    There a count x q^beta y^n/n! of the level enters (i,j,k,l) linearly:
 
+        sum_f C_ij^f d_fkl + C_kl^f d_ijf - C_jk^f d_fil - C_il^f d_jkf,
+
+    C_ab^f = sum_e c_abe g^ef (0 for f = 0).  A derivative d along divisor a
+    multiplies by beta_a, one along a non-divisor class lowers that entry of
+    n, and a negative entry gives 0; so an unknown's column is read off the
+    classical triples.  The constant column is the residual of the known
+    counts with the level as c1 floor of its products: the level's seeds and
+    pairs of lower counts.  Every row stays in, so a solved level is verified.
+    """
     if seeds.model != model:
         raise ValueError("seed table belongs to a different model")
     known = GWTable(model, c1_max)
@@ -428,25 +419,9 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
         if model.c1_degree(beta) <= c1_max:
             known.add(beta, n, value)
 
-    weights = model.insertion_weights()
     quads = [eq.indices for eq in wdvv_canonical_equations(model.top_index)]
-    classes = [b for b in model.effective_classes(c1_max) if any(b)]
-    for level in sorted({model.c1_degree(b) for b in classes}):
-        unknowns = [
-            (beta, n)
-            for beta in classes
-            if model.c1_degree(beta) == level
-            for n in compositions(weights, model.dimension + level - 3)
-            if (beta, n) not in known.entries
-        ]
-        tables = [GWTable(model, level, {key: 1}) for key in unknowns] + [known]
-        rows: dict[tuple, dict[int, Fraction]] = {}
-        for col, table in enumerate(tables):
-            bundle = build_potential(model, table, level)
-            for quad in quads:
-                for key, value in wdvv_residual(bundle, *quad).coeffs.items():
-                    if model.c1_degree(key[0]) == level:
-                        rows.setdefault((quad, key), {})[col] = value
+    for level in sorted({model.c1_degree(b) for b in model.effective_classes(c1_max) if any(b)}):
+        unknowns, rows = _level_system(model, known, level, quads)
         equations = sorted(rows)
         pivots, origin = row_reduce(rows[eq] for eq in equations)
         const = len(unknowns)
@@ -474,6 +449,53 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
                 raise SolveError(f"negative solution {value} for {unknown}")
             known.add(*unknown, int(value))
     return known
+
+
+def _level_system(model: FanoModel, known: GWTable, level: int,
+                  quads: Sequence) -> tuple[list, dict]:
+    """The unknowns of one c1 level and the rows {(quad, key): {column: value}}
+    of its system, the constant column last, as ``wdvv_solve`` describes."""
+    from .potential import build_potential  # potential imports engine
+
+    p, pairs = model.divisor_count, model.g_inv_pairs()
+    unknowns = [
+        (beta, n)
+        for beta in model.effective_classes(level)
+        if model.c1_degree(beta) == level
+        for n in compositions(model.insertion_weights(), model.dimension + level - 3)
+        if (beta, n) not in known.entries
+    ]
+    linear: dict[tuple, list] = {}  # sorted triple t -> [(quad, coefficient of d_t)]
+    for quad in quads:
+        i, j, k, l = quad
+        terms = ((1, i, j, k, l), (1, k, l, i, j), (-1, j, k, i, l), (-1, i, l, j, k))
+        for sign, a, b, c, d in terms:
+            for e, f, gef in pairs:
+                if model.triple(a, b, e):
+                    t = tuple(sorted((f, c, d)))
+                    linear.setdefault(t, []).append((quad, sign * model.triple(a, b, e) * gef))
+    rows: dict[tuple, dict] = {}
+    for col, (beta, n) in enumerate(unknowns):
+        for t, uses in linear.items():
+            shifted = [m - t.count(p + 1 + s) for s, m in enumerate(n)]
+            factor = math.prod(beta[x - 1] for x in t if x <= p)
+            if factor and min(shifted, default=0) >= 0:
+                key = (beta, tuple(shifted))
+                for quad, value in uses:
+                    row = rows.setdefault((quad, key), {})
+                    row[col] = row.get(col, 0) + value * factor
+
+    bundle = build_potential(model, known, level)
+    for quad in quads:
+        i, j, k, l = quad
+        residual = GWSeries.zero(bundle.bounds)
+        for sign, a, b, c, d in ((1, i, j, k, l), (-1, j, k, i, l)):
+            for f, x in bundle.product(a, b).items():
+                if x.coeffs:
+                    residual = residual + x.times(bundle.phi(f, c, d), level).scale(sign)
+        for key, value in residual.coeffs.items():
+            rows.setdefault((quad, key), {})[len(unknowns)] = value
+    return unknowns, {q: r for q, row in rows.items() if (r := {c: v for c, v in row.items() if v})}
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,10 @@ def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion
     The sides pair with T_l to F(i,j|k,l) and F(j,k|i,l), so the coefficient
     of T_f is the WDVV residual with its last index raised by g^{lf}.
     """
+    # F(i,j|k,0) = phi_ijk = F(j,k|i,0), so the l = 0 term is identically zero
     rank = bundle.model.rank
-    return bundle.raise_index(
-        [f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l) for l in range(rank)]
-    )
+    rest = [f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l) for l in range(1, rank)]
+    return bundle.raise_index([GWSeries.zero(bundle.bounds), *rest])
 
 
 @dataclass

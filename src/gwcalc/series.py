@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 # A multi-index: one non-negative exponent per variable.
@@ -126,7 +127,7 @@ class SeriesBounds:
             raise ValueError("truncation bounds must be non-negative")
 
     def c1_degree(self, beta: MultiIndex) -> int:
-        return sum(w * d for w, d in zip(self.beta_weights, beta))
+        return sum(map(mul, self.beta_weights, beta))
 
     def in_bounds(self, beta: MultiIndex, n: MultiIndex) -> bool:
         return self.c1_degree(beta) <= self.max_c1 and total_degree(n) <= self.max_total
@@ -220,27 +221,34 @@ class GWSeries:
         return GWSeries(self.bounds, {k: v * value for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "GWSeries") -> "GWSeries":
-        """Divided-power product, truncated to the shared bounds.
+        return self.times(other)
+
+    def times(self, other: "GWSeries", c1_floor: int = 0) -> "GWSeries":
+        """Divided-power product, truncated to the shared bounds, at keys of
+        c1-degree ``c1_floor`` or more.
 
         The coefficient at (beta, n) is the convolution over beta = b1 + b2,
         n = n1 + n2 weighted by the per-variable binomials C(n_i, n1_i).
         Both degrees add, so the right factor's terms are sorted by
         (c1-degree, total degree) and each left term meets only the pairs
-        that land inside the bounds.  The weight is 1 when either n is zero,
-        and otherwise only coordinates with 0 < n1_i < n_i contribute.
+        that land inside the bounds and the floor.  The weight is 1 when either
+        n is zero, and otherwise only coordinates with 0 < n1_i < n_i contribute.
         """
         self._require_same_bounds(other)
         bounds = self.bounds
         c1_degree = bounds.c1_degree
         right = [(c1_degree(b), total_degree(n), b, n, v) for (b, n), v in other.coeffs.items()]
         right.sort(key=itemgetter(0, 1))
+        degrees = [term[0] for term in right] if c1_floor else None
         coeffs: dict[Key, Coefficient] = {}
         get = coeffs.get
         for (b1, n1), v1 in self.coeffs.items():
-            c1_budget = bounds.max_c1 - c1_degree(b1)
+            c1_left = c1_degree(b1)
+            c1_budget = bounds.max_c1 - c1_left
             n1_total = total_degree(n1)
             total_budget = bounds.max_total - n1_total
-            for c1, total, b2, n2, v2 in right:
+            start = bisect_left(degrees, c1_floor - c1_left) if c1_floor else 0
+            for c1, total, b2, n2, v2 in itertools.islice(right, start, None) if start else right:
                 if c1 > c1_budget:
                     break
                 if total > total_budget:

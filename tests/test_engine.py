@@ -23,8 +23,9 @@ from gwcalc import (
     wdvv_count,
     wdvv_solve,
 )
-from gwcalc import engine
-from gwcalc.series import binomial_z
+from gwcalc import engine, model_from_dict
+from gwcalc.potential import build_potential, wdvv_residual
+from gwcalc.series import GWSeries, binomial_z, compositions
 
 PLANE_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
 
@@ -368,6 +369,117 @@ def test_solver_names_every_free_unknown(p3):
         wdvv_solve(p3, GWTable(p3, 4), 8)
     for unknown in (((1,), (0, 2)), ((1,), (2, 1)), ((1,), (4, 0))):
         assert str(unknown) in str(info.value)
+
+
+# -- the level system against one-count residuals ------------------------------
+
+
+def _one_count_system(model, known, level, quads):
+    """A level's unknowns and rows built from residual sweeps: an unknown's
+    column is the residual of the potential holding that count alone at
+    value 1, the constant column the residual of the known counts."""
+    unknowns = [
+        (beta, n)
+        for beta in model.effective_classes(level)
+        if model.c1_degree(beta) == level
+        for n in compositions(model.insertion_weights(), model.dimension + level - 3)
+        if (beta, n) not in known.entries
+    ]
+    tables = [GWTable(model, level, {key: 1}) for key in unknowns] + [known]
+    rows = {}
+    for col, table in enumerate(tables):
+        bundle = build_potential(model, table, level)
+        for quad in quads:
+            for key, value in wdvv_residual(bundle, *quad).coeffs.items():
+                if model.c1_degree(key[0]) == level:
+                    rows.setdefault((quad, key), {})[col] = value
+    return unknowns, rows
+
+
+def _model_file(name):
+    """The model data of a file from ``test_oracles``, loaded when called."""
+    import test_oracles
+
+    return lambda: model_from_dict(getattr(test_oracles, name))
+
+
+@pytest.mark.parametrize(
+    "make, c1_max",
+    [
+        (lambda: builtin_model("p3"), 16),
+        (lambda: builtin_model("q3"), 12),
+        (lambda: builtin_model("p1xp1"), 10),
+        (lambda: builtin_model("pr", r=4), 15),
+        (_model_file("P1XP2"), 8),
+        (_model_file("Q3_HYPERPLANE"), 9),
+    ],
+    ids=["p3", "q3", "p1xp1", "p4", "p1xp2", "q3h"],
+)
+def test_level_rows_match_one_count_residuals(monkeypatch, make, c1_max):
+    model = make()
+    direct = engine._level_system
+    constants = []
+
+    def both(model, known, level, quads):
+        unknowns, rows = direct(model, known, level, quads)
+        assert (unknowns, rows) == _one_count_system(model, known, level, quads)
+        constants.append(sum(len(unknowns) in row for row in rows.values()))
+        return unknowns, rows
+
+    monkeypatch.setattr(engine, "_level_system", both)
+    solved = wdvv_solve(model, standard_seeds(model), c1_max)
+    monkeypatch.undo()
+    assert solved.entries == wdvv_solve(model, standard_seeds(model), c1_max).entries
+    # lower counts reach the constant column of later levels
+    assert any(constants[1:])
+
+
+def test_constant_column_products_stay_on_the_level(monkeypatch, p3):
+    # lower levels are solved and verified, so the constant column needs
+    # products only at the level's own keys
+    times = GWSeries.times
+    calls = []
+
+    def recording(left, right, c1_floor=0):
+        calls.append((c1_floor, left.bounds.max_c1))
+        return times(left, right, c1_floor)
+
+    monkeypatch.setattr(GWSeries, "times", recording)
+    wdvv_solve(p3, standard_seeds(p3), 12)
+    assert calls and all(floor == level for floor, level in calls)
+
+
+@pytest.mark.parametrize(
+    "space, seeds, c1_max",
+    [
+        ("q3", [((1,), (1, 1), 1), ((1,), (3, 0), 5)], 6),
+        # a wrong conic count (the true one is 0) beside four unknowns of its level
+        ("p3", [((1,), (0, 2), 1), ((2,), (0, 4), 2)], 8),
+    ],
+)
+def test_contradictory_seeds_fail_alike_on_both_routes(monkeypatch, space, seeds, c1_max):
+    model = builtin_model(space)
+    bad = GWTable(model, c1_max)
+    for beta, n, value in seeds:
+        bad.add(beta, n, value)
+    with pytest.raises(SolveError, match="inconsistent") as direct:
+        wdvv_solve(model, bad, c1_max)
+    monkeypatch.setattr(engine, "_level_system", _one_count_system)
+    with pytest.raises(SolveError) as one_count:
+        wdvv_solve(model, bad, c1_max)
+    assert str(direct.value) == str(one_count.value)
+    assert "equation (" in str(direct.value) and "at key ((" in str(direct.value)
+
+
+def test_solver_product_of_lines_published_counts():
+    # bidegrees (1,1), (1,2), (2,2), (2,3), (3,3) through 2a + 2b - 1 points
+    # (Di Francesco-Itzykson, hep-th/9412175)
+    model = builtin_model("p1xp1")
+    table = wdvv_solve(model, standard_seeds(model), 12)
+    bidegrees = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+    counts = {beta: table.get(beta, (2 * sum(beta) - 1,)) for beta in bidegrees}
+    assert counts == {(1, 1): 1, (1, 2): 1, (2, 2): 12, (2, 3): 96, (3, 3): 3510}
+    assert table.get((2, 1), (5,)) == 1 and table.get((3, 2), (9,)) == 96
 
 
 def test_solver_rejects_foreign_seeds(p2, q3):

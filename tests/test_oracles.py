@@ -10,7 +10,7 @@ import pytest
 
 from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
 from gwcalc.cli import _wdvv_checks, main
-from gwcalc.engine import GWTable, standard_table
+from gwcalc.engine import GWTable, standard_seeds, standard_table, wdvv_solve
 from gwcalc.potential import build_potential
 
 # P^1 x P^2 in the basis 1, h1, h2, h1*h2, h2^2, pt.  The seeds: one line of
@@ -155,3 +155,34 @@ def test_p1xp2_ruling_lines(p1xp2_report):
     values = {tuple(row["key"]): int(row["value"]) for row in report["rows"]}
     assert values[(1, 0, 0, 0, 1)] == 1
     assert values[(2, 0, 0, 0, 2)] == 0
+
+
+# -- lines in P^r by Schubert calculus ----------------------------------------
+
+
+def _pieri_lines(r, n):
+    """Lines in P^r meeting n[a - 2] general linear spaces of codimension a,
+    for a = 2..r: the degree of the product of the Schubert classes
+    sigma_(a - 1) on G(2, r + 1), by Pieri's rule on two-row partitions
+    inside the 2 x (r - 1) box."""
+    classes = {(0, 0): 1}
+    for a, count in enumerate(n, start=2):
+        for _ in range(count):
+            step = {}
+            for (l1, l2), value in classes.items():
+                # sigma_(a-1) adds a horizontal strip: l2 <= m2 <= l1 <= m1
+                for m2 in range(l2, l1 + 1):
+                    m1 = l1 + l2 + a - 1 - m2
+                    if l1 <= m1 <= r - 1:
+                        step[(m1, m2)] = step.get((m1, m2), 0) + value
+            classes = step
+    return classes.get((r - 1, r - 1), 0)
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_projective_lines_match_pieri(r):
+    model = builtin_model("pr", r=r)
+    table = wdvv_solve(model, standard_seeds(model), r + 1)
+    lines = {n: value for (beta, n), value in table.entries.items() if beta == (1,)}
+    assert lines and any(lines.values())
+    assert lines == {n: _pieri_lines(r, n) for n in lines}

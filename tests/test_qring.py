@@ -194,6 +194,31 @@ def test_verify_makes_fewer_series_products(monkeypatch):
     assert 0 < len(calls) < 396
 
 
+def test_associator_builds_no_unit_brackets(monkeypatch, p3, p3_table, p3_ring):
+    bundles = []
+    build = cli.build_potential
+
+    def keeping(*args):
+        bundles.append(build(*args))
+        return bundles[-1]
+
+    monkeypatch.setattr(cli, "build_potential", keeping)
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "all", "--model", "p3", "--dmax", "6"])
+    assert code == 0
+    (bundle,) = bundles
+    # the l = 0 term of the associator built 27 of 81 brackets here
+    assert 0 < len(bundle._brackets) < 81
+    assert not any(0 in key[2:] for key in bundle._brackets)
+    # the associator still sees one raised count
+    entries = dict(p3_table.entries)
+    entries[((2,), (0, 4))] += 1
+    raised = build_potential(p3, GWTable(p3, 16, entries), 16)
+    checks = {label: ok for label, ok, _ in _ring_checks(raised, p3_ring)}
+    assert checks["big-unit"] and checks["big-commutative"]
+    assert not checks["big-associative"]
+
+
 @pytest.mark.parametrize("d_max", [1, 6])
 def test_verify_solves_one_table(monkeypatch, d_max):
     bounds = []
