@@ -36,7 +36,6 @@ from .qring import (
     QuantumRing,
     big_associator,
     big_product,
-    fixed_points_number,
     grassmannian_presentation,
     pr_presentation,
     presentation_from_big,
@@ -70,7 +69,6 @@ __all__ = [
     "f_bracket",
     "fano3_numbers",
     "fano3_solve",
-    "fixed_points_number",
     "g_bracket",
     "grassmannian_presentation",
     "gw_invariant",

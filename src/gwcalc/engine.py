@@ -348,28 +348,42 @@ def fano3_solve(space: str, d_max: int) -> GWTable:
 
 @dataclass(frozen=True)
 class WdvvEquationId:
-    """An index quadruple labelling one associativity equation."""
+    """An index quadruple labelling one associativity equation.
+
+    ``sign`` relates the residuals: R(quadruple) = sign * R(canonical).
+    """
 
     indices: tuple[int, int, int, int]
     canonical: bool
+    sign: int = 1
 
     @staticmethod
-    def orbit(quad: tuple[int, int, int, int]) -> set[tuple[int, int, int, int]]:
-        """Signed symmetry orbit, generated by the reversal (keeps sign) and
-        the outer swap (flips sign): the eight symmetries of a 4-cycle."""
-        i, j, k, l = quad
-        rotations = [(i, j, k, l), (j, k, l, i), (k, l, i, j), (l, i, j, k)]
-        return {*rotations, *(image[::-1] for image in rotations)}
+    def orbit(quad: tuple[int, int, int, int]) -> dict[tuple[int, int, int, int], int]:
+        """Signed symmetry orbit: each image mapped to the sign s with
+        R(image) = s * R(quad), under the eight symmetries of a 4-cycle.  A
+        rotation flips the sign and a reversal keeps it.  An image reached
+        with both signs maps to 0: its residual equals its own negative."""
+        signs: dict[tuple[int, int, int, int], int] = {}
+        for turn in range(4):
+            image = quad[turn:] + quad[:turn]
+            sign = -1 if turn % 2 else 1
+            for member in (image, image[::-1]):
+                signs[member] = sign if signs.get(member, sign) == sign else 0
+        return signs
 
     @classmethod
     def canonicalize(cls, i: int, j: int, k: int, l: int) -> "WdvvEquationId | None":
         """Canonical id for the (i,j,k,l) equation, or None if it is
-        identically zero (repeated outer index, or any index 0)."""
-        if i == k or j == l or 0 in (i, j, k, l):
+        identically zero: any index 0, or an orbit carrying both signs, which
+        happens exactly for a repeated outer index (i == k or j == l)."""
+        if 0 in (i, j, k, l):
             return None
         quad = (i, j, k, l)
-        best = min(cls.orbit(quad))
-        return cls(best, canonical=quad == best)
+        signs = cls.orbit(quad)
+        best = min(signs)
+        if not signs[best]:
+            return None
+        return cls(best, canonical=quad == best, sign=signs[best])
 
 
 def wdvv_count(m: int) -> int:

@@ -10,7 +10,9 @@ the big product T_i * T_j has the coefficients sum_e phi_{ije} g^{ef}, and
 the bracket F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>
 is the one contraction behind every triple product of the big ring.  The
 residual of an index quadruple is the difference of two bracket orders; for
-a correct table it vanishes identically.  The dimension constraint
+a correct table it vanishes identically.  It changes sign under the
+symmetries of ``WdvvEquationId.orbit``, so each residual is read off the
+canonical quadruple of its orbit.  The dimension constraint
 sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps the total degree of every
 key at dim + c1 - 3, so within a c1 bound the series are exact on their
 whole truncation box and a residual is checked at every stored key.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .boundary import marking_splits
-from .engine import GWTable, gw_invariant
+from .engine import GWTable, WdvvEquationId, gw_invariant
 from .model import FanoModel
 from .series import GWSeries, MultiIndex, SeriesBounds, class_splits, series_partial
 
@@ -143,8 +145,20 @@ def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeri
 
 
 def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:
-    """F(i,j|k,l) - F(j,k|i,l); the zero series for a correct table."""
-    return f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l)
+    """R(i,j,k,l) = F(i,j|k,l) - F(j,k|i,l); the zero series for a correct
+    table.
+
+    Every quadruple is read off the canonical one of its orbit, with the
+    orbit's sign, so all of them share that quadruple's two brackets.  A
+    quadruple with no canonical id (an index 0 or a repeated outer index) has
+    a residual that vanishes on any table.
+    """
+    eq = WdvvEquationId.canonicalize(i, j, k, l)
+    if eq is None:
+        return GWSeries.zero(bundle.bounds)
+    a, b, c, d = eq.indices
+    first, second = f_bracket(bundle, a, b, c, d), f_bracket(bundle, b, c, a, d)
+    return first - second if eq.sign > 0 else second - first
 
 
 def g_bracket(

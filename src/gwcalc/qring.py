@@ -3,11 +3,13 @@
 The big ring deforms the cup product by all counts: structure constants are
 divided-power series contracted from third partials of the potential, and
 its triple products are read off the potential's cached brackets through
-<(T_i * T_j) * T_k, T_l> = F(i,j|k,l).  The small ring is the n = 0 slice of
-the same products: with every non-divisor coordinate set to zero only the
-3-point counts survive, and the divisor directions remain as q^beta.  That
-is a graded deformation over polynomials in one parameter per divisor
-class; setting the parameters to zero recovers the cup product.
+<(T_i * T_j) * T_k, T_l> = F(i,j|k,l).  Its associator is the WDVV
+residuals with one index raised, so it checks the same equations as the
+residual sweep, through the same canonical brackets.  The small ring is the
+n = 0 slice of the same products: with every non-divisor coordinate set to
+zero only the 3-point counts survive, and the divisor directions remain as
+q^beta.  That is a graded deformation over polynomials in one parameter per
+divisor class; setting the parameters to zero recovers the cup product.
 
 Presentations are quotient descriptions of the small rings.  Normal forms
 are computed degree by degree: the ideal's graded piece is spanned by
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .engine import GWTable, gw_invariant
+from .engine import GWTable
 from .model import FanoModel
-from .potential import Expansion, PotentialBundle, build_potential, f_bracket, glue_sum
+from .potential import Expansion, PotentialBundle, build_potential, f_bracket, wdvv_residual
 from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
 
 
@@ -44,12 +45,11 @@ def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion
     """(T_i * T_j) * T_k - T_i * (T_j * T_k), coefficient by coefficient.
 
     The sides pair with T_l to F(i,j|k,l) and F(j,k|i,l), so the coefficient
-    of T_f is the WDVV residual with its last index raised by g^{lf}.
+    of T_f is the WDVV residual R(i,j,k,l) with its last index raised by
+    g^{lf}: the big product is associative exactly where the residuals vanish.
     """
-    # F(i,j|k,0) = phi_ijk = F(j,k|i,0), so the l = 0 term is identically zero
     rank = bundle.model.rank
-    rest = [f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l) for l in range(1, rank)]
-    return bundle.raise_index([GWSeries.zero(bundle.bounds), *rest])
+    return bundle.raise_index([wdvv_residual(bundle, i, j, k, l) for l in range(rank)])
 
 
 @dataclass
@@ -412,38 +412,3 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
         bad = {f: sorted(s.coeffs) for f, s in residuals.items() if not s.is_zero()}
         raise ArithmeticError(f"cubic relation fails at {bad}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point counts
-# ---------------------------------------------------------------------------
-
-
-def fixed_points_number(
-    model: FanoModel,
-    table: GWTable,
-    beta: MultiIndex,
-    classes: Sequence[int],
-    k: int = 2,
-) -> Fraction:
-    """Count of maps sending n fixed domain points into the given classes.
-
-    For three insertions this is the plain invariant; for more it splits at
-    position ``k`` into two shorter counts glued through the inverse pairing,
-    summed over effective splittings of the class.  The result does not
-    depend on the chosen split.
-    """
-    n = len(classes)
-    if n < 3:
-        raise ValueError("need at least three insertions")
-    if n == 3:
-        return Fraction(gw_invariant(model, table, beta, classes))
-    if not 1 < k < n - 1:
-        raise ValueError(f"split position must satisfy 1 < k < {n - 1}")
-    head, tail = list(classes[:k]), list(classes[k:])
-    return glue_sum(
-        model,
-        beta,
-        lambda beta1, e: fixed_points_number(model, table, beta1, head + [e]),
-        lambda beta2, f: fixed_points_number(model, table, beta2, [f] + tail),
-    )

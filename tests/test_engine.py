@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -312,6 +313,24 @@ def test_canonicalize_orbit_representative():
     assert eq.indices == (1, 1, 2, 2)
     assert not eq.canonical
     assert WdvvEquationId.canonicalize(1, 1, 2, 2).canonical
+
+
+def test_orbit_signs_conflict_exactly_on_repeated_outer_indices():
+    # a rotation flips the residual's sign and a reversal keeps it; an orbit
+    # that reaches a quadruple with both signs marks it 0
+    for quad in itertools.product(range(1, 5), repeat=4):
+        i, j, k, l = quad
+        signs = WdvvEquationId.orbit(quad)
+        assert signs[quad] in (0, 1)
+        conflicting = 0 in signs.values()
+        assert conflicting == (i == k or j == l), quad
+        assert conflicting == (not all(signs.values())), quad
+        eq = WdvvEquationId.canonicalize(*quad)
+        assert (eq is None) == conflicting
+        if eq is not None:
+            assert eq.sign == signs[eq.indices]
+    assert WdvvEquationId.canonicalize(1, 2, 2, 1).sign == -1
+    assert WdvvEquationId.canonicalize(2, 2, 1, 1).sign == 1
 
 
 # -- the generic solver ------------------------------------------------------
