@@ -9,12 +9,13 @@ lexicographically least side first.
 ``intersection_counts`` replays the plane argument: cutting the two sides of
 the four-point linear equivalence with a generic curve of incidence
 conditions itemizes, datum type by datum type, into products of counts, and
-equality of the two sides is exactly the degree-d recursion.
+equality of the two sides is exactly the degree-d recursion.  The totals
+pair every class split with its mirror; the items are built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .engine import GWTable
@@ -124,16 +125,27 @@ def d_sum(
 class CountSide:
     """One side of the boundary equivalence cut with the incidence curve.
 
-    ``terms`` holds (d1, d2, partitions, weight, value) per item, with d1 = 0
-    for the contracted datum; ``items`` formats the labels only when read.
+    ``terms`` holds (d1, d2, partitions, weight, value) per item, d1 = 0 for the
+    ``contracted`` datum; it and ``items`` are built only when read, from the
+    ``counts`` (0, N_1, ..., N_d), the binomial ``row`` of 3d - 4 and the
+    ``power`` p of the weight d1^p d2^(4-p), with C(3d-4, 3d1+p-4) partitions.
     """
 
     label: str
-    terms: tuple[tuple[int, int, int, int, int], ...]
+    total: int
+    contracted: tuple[tuple[int, int, int, int, int], ...]
+    counts: tuple[int, ...] = field(repr=False)
+    row: tuple[int, ...] = field(repr=False)
+    power: int
 
     @property
-    def total(self) -> int:
-        return sum(term[4] for term in self.terms)
+    def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        d, p, splits = len(self.counts) - 1, self.power, []
+        for d1 in range(1, d):
+            parts, weight = self.row[3 * d1 + p - 4], d1 ** p * (d - d1) ** (4 - p)
+            value = self.counts[d1] * self.counts[d - d1] * weight * parts
+            splits.append((d1, d - d1, parts, weight, value))
+        return self.contracted + tuple(splits)
 
     @property
     def items(self) -> tuple[tuple[str, int], ...]:
@@ -164,28 +176,27 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
     zero class, plus reducible data weighted d1^3 d2; the other side only
     sees reducible data weighted d1^2 d2^2.  The partition counts are the
     binomials C(3d - 4, 3d1 - 1) and C(3d - 4, 3d1 - 2) over the 3d - 4
-    interior markings; every item reads them from one binomial row of 3d - 4.
+    interior markings, read from one binomial row of 3d - 4.  Both totals
+    pair each split d1 + d2 with its mirror, so every product N_{d1} N_{d2}
+    is formed once; the items are built only when read.
     """
     if d < 2:
         raise ValueError("the equivalence is used for degree at least 2")
-
-    def count_of(degree: int) -> int:
-        return table.get((degree,), (3 * degree - 1,))
-
-    n = 3 * d
-    row = binomial_row(3 * d - 4)
-    lhs_terms = [(0, d, 1, 1, count_of(d))]
-    rhs_terms = []
-    for d1 in range(1, d):
+    counts = (0, *(table.get((e,), (3 * e - 1,)) for e in range(1, d + 1)))
+    row = tuple(binomial_row(3 * d - 4))
+    lhs, rhs = counts[d], 0
+    for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        pair = count_of(d1) * count_of(d2)
-        lhs_weight, rhs_weight = d1 ** 3 * d2, d1 ** 2 * d2 ** 2
-        lhs_partitions, rhs_partitions = row[3 * d1 - 1], row[3 * d1 - 2]
-        lhs_terms.append((d1, d2, lhs_partitions, lhs_weight, pair * lhs_weight * lhs_partitions))
-        rhs_terms.append((d1, d2, rhs_partitions, rhs_weight, pair * rhs_weight * rhs_partitions))
+        lhs_weight = d1 ** 3 * d2 * row[3 * d1 - 1]
+        rhs_weight = d1 ** 2 * d2 ** 2 * row[3 * d1 - 2]
+        if d1 != d2:
+            lhs_weight += d2 ** 3 * d1 * row[3 * d2 - 1]
+            rhs_weight += d2 ** 2 * d1 ** 2 * row[3 * d2 - 2]
+        pair = counts[d1] * counts[d2]
+        lhs, rhs = lhs + pair * lhs_weight, rhs + pair * rhs_weight
     return IntersectionCounts(
         degree=d,
-        markings=n,
-        lhs=CountSide("lines with lines", tuple(lhs_terms)),
-        rhs=CountSide("lines split across", tuple(rhs_terms)),
+        markings=3 * d,
+        lhs=CountSide("lines with lines", lhs, ((0, d, 1, 1, counts[d]),), counts, row, 3),
+        rhs=CountSide("lines split across", rhs, (), counts, row, 2),
     )

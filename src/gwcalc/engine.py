@@ -143,18 +143,20 @@ def gw_invariant(
 
 
 def nd_plane_numbers(d_max: int) -> dict[int, int]:
-    """Counts of degree-d rational plane curves through 3d-1 general points."""
+    """Counts of degree-d rational plane curves through 3d-1 general points, each
+    split d1 + d2 paired with its mirror so every N_{d1} N_{d2} is formed once."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     counts = {1: 1}
     for d in range(2, d_max + 1):
         row = binomial_row(3 * d - 4)
         total = 0
-        for d1 in range(1, d):
+        for d1 in range(1, d // 2 + 1):
             d2 = d - d1
-            total += counts[d1] * counts[d2] * (
-                d1 * d1 * d2 * d2 * row[3 * d1 - 2] - d1 ** 3 * d2 * row[3 * d1 - 1]
-            )
+            weight = d1 * d1 * d2 * d2 * row[3 * d1 - 2] - d1 ** 3 * d2 * row[3 * d1 - 1]
+            if d1 != d2:
+                weight += d1 * d1 * d2 * d2 * row[3 * d2 - 2] - d2 ** 3 * d1 * row[3 * d2 - 1]
+            total += counts[d1] * counts[d2] * weight
         counts[d] = total
     return counts
 
@@ -242,9 +244,11 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     known: dict[tuple[int, int], int] = {seed: 1}
     rows = {n: [0, 0, *binomial_row(n), 0, 0, 0] for n in range(-3, k * d_max)}
 
-    def record(target: tuple[int, int], value: Fraction, route: str) -> None:
-        if value.denominator != 1:
-            raise SolveError(f"{space}: non-integral value {value} for {target} via {route}")
+    def record(target: tuple[int, int], num: int, den: int, route: str) -> None:
+        value, rem = divmod(num, den)  # den > 0
+        if rem:
+            raise SolveError(f"{space}: non-integral value {Fraction(num, den)} for {target} "
+                             f"via {route}")
         if value < 0:
             raise SolveError(f"{space}: negative value {value} for {target} via {route}")
         prev = known.get(target)
@@ -252,7 +256,7 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
             raise SolveError(
                 f"{space}: recursions disagree at {target}: {prev} vs {value} via {route}"
             )
-        known[target] = int(value)
+        known[target] = value
 
     for d in range(1, d_max + 1):
         targets = [(a, (k * d - a) // 2) for a in range(k * d % 2, k * d + 1, 2)]
@@ -267,24 +271,24 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
                 got = False
                 # Direct forms: each determines one value from lower degrees.
                 if a >= 1 and b >= 2:
-                    record((a, b), Fraction(here[2], c), "(3)")
-                    record((a, b), Fraction(over[3]), "(4)")
+                    record((a, b), here[2], c, "(3)")
+                    record((a, b), over[3], 1, "(4)")
                     got = True
                 if b >= 3:
-                    record((a, b), Fraction(over[4]), "(5)")
+                    record((a, b), over[4], 1, "(5)")
                     got = True
                 # Two-term forms, usable once the partner value is known.
                 if a >= 2 and b >= 1 and (a - 2, b + 1) in known:
-                    record((a, b), Fraction(d * known[(a - 2, b + 1)] - here[1], c), "(2)")
+                    record((a, b), d * known[(a - 2, b + 1)] - here[1], c, "(2)")
                     got = True
                 if b >= 2 and (a + 2, b - 1) in known:
-                    record((a, b), Fraction(over[1] + c * known[(a + 2, b - 1)], d), "(2')")
+                    record((a, b), over[1] + c * known[(a + 2, b - 1)], d, "(2')")
                     got = True
                 if a >= 3 and (a - 2, b + 1) in known:
-                    record((a, b), Fraction(2 * d * known[(a - 2, b + 1)] - here[0], c), "(1)")
+                    record((a, b), 2 * d * known[(a - 2, b + 1)] - here[0], c, "(1)")
                     got = True
                 if a >= 1 and b >= 1 and (a + 2, b - 1) in known:
-                    record((a, b), Fraction(over[0] + c * known[(a + 2, b - 1)], 2 * d), "(1')")
+                    record((a, b), over[0] + c * known[(a + 2, b - 1)], 2 * d, "(1')")
                     got = True
                 if got:
                     missing.remove((a, b))

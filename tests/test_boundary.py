@@ -3,11 +3,13 @@ import pytest
 from gwcalc import (
     BoundaryDatum,
     builtin_model,
+    cli,
     d_sum,
     enumerate_boundary,
     intersection_counts,
     nd_plane,
 )
+from gwcalc.boundary import CountSide
 from gwcalc.engine import TableDepthError
 from gwcalc.series import binomial_z
 
@@ -180,3 +182,48 @@ def test_intersection_counts_input_validation(plane_table):
         intersection_counts(1, plane_table)
     with pytest.raises(TableDepthError):
         intersection_counts(3, nd_plane(2))
+
+
+def eager_terms(d, table):
+    """Oracle: both sides itemized over every ordered split d1 + d2."""
+    def count(degree):
+        return table.get((degree,), (3 * degree - 1,))
+
+    lhs, rhs = [(0, d, 1, 1, count(d))], []
+    for d1 in range(1, d):
+        d2 = d - d1
+        pair = count(d1) * count(d2)
+        lhs_weight, rhs_weight = d1 ** 3 * d2, d1 ** 2 * d2 ** 2
+        lhs_parts = binomial_z(3 * d - 4, 3 * d1 - 1)
+        rhs_parts = binomial_z(3 * d - 4, 3 * d1 - 2)
+        lhs.append((d1, d2, lhs_parts, lhs_weight, pair * lhs_weight * lhs_parts))
+        rhs.append((d1, d2, rhs_parts, rhs_weight, pair * rhs_weight * rhs_parts))
+    return tuple(lhs), tuple(rhs)
+
+
+def test_paired_totals_match_the_ordered_items():
+    # odd and even degrees, so the self-mirrored split d1 = d2 is covered
+    table = nd_plane(60)
+    for d in range(2, 61):
+        counts = intersection_counts(d, table)
+        assert (counts.lhs.terms, counts.rhs.terms) == eager_terms(d, table), d
+        for side in (counts.lhs, counts.rhs):
+            assert side.total == sum(value for _, value in side.items), (d, side.label)
+        assert counts.balanced
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 10])
+def test_boundary_equivalence_fails_at_a_raised_count(d):
+    table = nd_plane(10)
+    table.add((d,), (3 * d - 1,), table.get((d,), (3 * d - 1,)) + 1)
+    checks = cli._boundary_equivalence_checks(table, 10)
+    assert [name for name, ok, _ in checks if not ok][0] == f"boundary-equivalence-d{d}"
+
+
+def test_boundary_equivalence_totals_build_no_items(monkeypatch):
+    def refuse(side):
+        raise AssertionError(f"{side.label}: terms built")
+
+    monkeypatch.setattr(CountSide, "terms", property(refuse))
+    checks = cli._boundary_equivalence_checks(nd_plane(30), 30)
+    assert len(checks) == 29 and all(ok for _, ok, _ in checks)

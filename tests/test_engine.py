@@ -46,9 +46,10 @@ def test_plane_counts():
 
 
 def test_plane_counts_symmetric_in_split_order():
-    # re-derive with the splitting sum written in the opposite order
+    # re-derive over every ordered split, written in the opposite order, as
+    # an oracle for the mirror-paired sum
     counts = {1: 1}
-    for d in range(2, 9):
+    for d in range(2, 121):
         total = 0
         for d2 in range(1, d):
             d1 = d - d2
@@ -57,7 +58,7 @@ def test_plane_counts_symmetric_in_split_order():
                 - d1 ** 3 * d2 * binomial_z(3 * d - 4, 3 * d1 - 1)
             )
         counts[d] = total
-    assert counts == nd_plane_numbers(8)
+    assert counts == nd_plane_numbers(120)
 
 
 def test_plane_requires_positive_bound():
@@ -83,6 +84,29 @@ def test_fano3_rejects_bad_input():
         fano3_solve("p2", 2)
     with pytest.raises(ValueError):
         fano3_solve("q3", 0)
+
+
+@pytest.mark.parametrize(
+    "s3, message",
+    [
+        (1, "q3: non-integral value 1/2 for (2, 2) via (3)"),
+        (-2, "q3: negative value -1 for (2, 2) via (3)"),
+        (4, "q3: recursions disagree at (2, 2): 2 vs 1 via (4)"),
+    ],
+)
+def test_fano3_error_texts(monkeypatch, s3, message):
+    # recursion (3) reads N_{2,2} = s3 / c off the sums, with c = 2 on q3;
+    # (4) then reads the true value 1
+    one_pass = engine._fano3_sums
+
+    def perturbed(a, b, k, known, rows):
+        sums = one_pass(a, b, k, known, rows)
+        return sums[:2] + (s3,) + sums[3:] if (a, b) == (2, 2) else sums
+
+    monkeypatch.setattr(engine, "_fano3_sums", perturbed)
+    with pytest.raises(SolveError) as error:
+        fano3_numbers("q3", 3)
+    assert str(error.value) == message
 
 
 def test_fano3_table_keys(q3_table):
