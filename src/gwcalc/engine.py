@@ -6,8 +6,8 @@ classes).  Three producers are implemented:
 
 * ``nd_plane``:   the classical degree-d plane-curve recursion,
 * ``fano3_solve``: the six coupled recursions shared by the projective
-  3-space and the quadric threefold, every value cross-checked against all
-  applicable recursions,
+  3-space and the quadric threefold, each value derived by one recursion and
+  then checked against every applicable instance of all six,
 * ``wdvv_solve``:  a generic solver that solves each c1-degree level of the
   associativity system as one exact linear system, its columns read off the
   classical triple products (Kontsevich-Manin reconstruction).
@@ -82,59 +82,33 @@ class GWTable:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(
-    model: FanoModel,
-    beta: MultiIndex,
-    counts: MultiIndex,
-    extra: Sequence[int],
-):
-    """Fold basis-class insertions into a table key using the three rules.
-
-    Returns ("const", value) when the invariant is determined without a
-    table, otherwise ("table", multiplier, key).
-    """
+def gw_invariant(model: FanoModel, table: GWTable, beta: MultiIndex,
+                 classes: Sequence[int]) -> int:
+    """Evaluate the invariant of ``classes`` against ``beta`` from a table,
+    folding the insertions into a table key by the three rules."""
+    beta = tuple(beta)
     p = model.divisor_count
     if len(beta) != p or any(d < 0 for d in beta):
         raise ValueError(f"{beta} is not an effective class for {model.name}")
     if not any(beta):
-        if sum(counts) + len(extra) != 3:
-            return "const", 0
-        classes = list(extra)
-        for pos, count in enumerate(counts):
-            classes.extend([model.nondivisor_indices[pos]] * count)
-        return "const", model.triple(*classes)
+        return model.triple(*classes) if len(classes) == 3 else 0
     mult = 1
-    tally = list(counts)
-    for cls in extra:
+    tally = [0] * len(model.nondivisor_indices)
+    for cls in classes:
         if not 0 <= cls <= model.top_index:
             raise ValueError(f"basis index {cls} out of range")
         if cls == 0:
-            return "const", 0
+            return 0
         if cls <= p:
-            mult *= model.divisor_pairing(beta, cls)
+            mult *= beta[cls - 1]  # the divisor's degree on beta
             if mult == 0:
-                return "const", 0
+                return 0
         else:
             tally[cls - p - 1] += 1
     n = tuple(tally)
     if not model.dimension_matches(beta, n):
-        return "const", 0
-    return "table", mult, (beta, n)
-
-
-def gw_invariant(
-    model: FanoModel,
-    table: GWTable,
-    beta: MultiIndex,
-    classes: Sequence[int],
-) -> int:
-    """Evaluate the invariant of ``classes`` against ``beta`` from a table."""
-    zero_counts = (0,) * len(model.nondivisor_indices)
-    result = _reduce(model, tuple(beta), zero_counts, classes)
-    if result[0] == "const":
-        return result[1]
-    _, mult, (b, n) = result
-    return mult * table.get(b, n)
+        return 0
+    return mult * table.get(beta, n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +208,10 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     N_{a,b} counts degree-d rational curves meeting a general lines and b
     general points.  Degree by degree, the six recursion sums are computed
     once for every point of the degree, since they read only lower degrees.
-    Every value is derived from at least one recursion, and once the degree
-    is filled every applicable recursion instance is checked against the
-    same sums, so the finished table satisfies all of them.
+    Each value other than the seed is derived by one route, the first that
+    applies of (3), (5) at (a + 2, b - 1), (2) and (1).  Once the degree is
+    filled, ``_fano3_check`` checks every applicable instance of all six
+    recursions against the same sums, so the finished table satisfies them.
     """
     _, k, c, seed = _fano3_data(space)
     if d_max < 1:
@@ -251,51 +226,28 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
                              f"via {route}")
         if value < 0:
             raise SolveError(f"{space}: negative value {value} for {target} via {route}")
-        prev = known.get(target)
-        if prev is not None and prev != value:
-            raise SolveError(
-                f"{space}: recursions disagree at {target}: {prev} vs {value} via {route}"
-            )
         known[target] = value
 
     for d in range(1, d_max + 1):
+        # increasing a: the partner (a - 2, b + 1) of (2) and (1) comes first
         targets = [(a, (k * d - a) // 2) for a in range(k * d % 2, k * d + 1, 2)]
         sums = {(a, b): _fano3_sums(a, b, k, known, rows) for a, b in targets}
-        missing = [t for t in targets if t not in known]
-        while missing:
-            progressed = False
-            for a, b in list(missing):
-                # here[r - 1] is the sum of recursion (r) at (a, b); over holds
-                # the sums at (a + 2, b - 1), one point traded for two lines
-                here, over = sums[(a, b)], sums.get((a + 2, b - 1))
-                got = False
-                # Direct forms: each determines one value from lower degrees.
-                if a >= 1 and b >= 2:
-                    record((a, b), here[2], c, "(3)")
-                    record((a, b), over[3], 1, "(4)")
-                    got = True
-                if b >= 3:
-                    record((a, b), over[4], 1, "(5)")
-                    got = True
-                # Two-term forms, usable once the partner value is known.
-                if a >= 2 and b >= 1 and (a - 2, b + 1) in known:
-                    record((a, b), d * known[(a - 2, b + 1)] - here[1], c, "(2)")
-                    got = True
-                if b >= 2 and (a + 2, b - 1) in known:
-                    record((a, b), over[1] + c * known[(a + 2, b - 1)], d, "(2')")
-                    got = True
-                if a >= 3 and (a - 2, b + 1) in known:
-                    record((a, b), 2 * d * known[(a - 2, b + 1)] - here[0], c, "(1)")
-                    got = True
-                if a >= 1 and b >= 1 and (a + 2, b - 1) in known:
-                    record((a, b), over[0] + c * known[(a + 2, b - 1)], 2 * d, "(1')")
-                    got = True
-                if got:
-                    missing.remove((a, b))
-                    progressed = True
-            if not progressed:
+        for a, b in targets:
+            if (a, b) == seed:
+                continue
+            s1, s2, s3 = sums[(a, b)][:3]
+            if a >= 1 and b >= 2:
+                record((a, b), s3, c, "(3)")
+            elif b >= 3:
+                # (5) at (a + 2, b - 1), one point traded for two lines
+                record((a, b), sums[(a + 2, b - 1)][4], 1, "(5)")
+            elif a >= 2 and b >= 1:
+                record((a, b), d * known[(a - 2, b + 1)] - s2, c, "(2)")
+            elif a >= 3:
+                record((a, b), 2 * d * known[(a - 2, b + 1)] - s1, c, "(1)")
+            else:
                 raise SolveError(
-                    f"{space}: counts {missing} at degree {d} are unreachable "
+                    f"{space}: counts {[(a, b)]} at degree {d} are unreachable "
                     "by the recursions"
                 )
         _fano3_check(space, d, c, known, sums)

@@ -104,12 +104,6 @@ class FanoModel:
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(c * d for c, d in zip(self.effective_c1, beta))
 
-    def divisor_pairing(self, beta: MultiIndex, divisor: int) -> int:
-        """Degree of the divisor class T_divisor on the curve class beta."""
-        if not 1 <= divisor <= self.divisor_count:
-            raise ValueError(f"T_{divisor} is not a divisor class")
-        return beta[divisor - 1]
-
     def effective_classes(self, c1_max: int) -> list[MultiIndex]:
         """All effective classes with anticanonical degree at most c1_max."""
         out: list[MultiIndex] = []
@@ -378,25 +372,36 @@ def builtin_model(name: str, r: int | None = None) -> FanoModel:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value: object, field: str) -> int:
+    """A JSON integer; a float, a bool or anything else is refused."""
+    if type(value) is not int:
+        raise ModelError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> FanoModel:
     """Build a validated model from the documented JSON structure."""
     try:
-        basis = [(entry["name"], int(entry["codim"])) for entry in data["basis"]]
-        pairing = [[int(v) for v in row] for row in data["pairing"]]
+        basis = [(entry["name"], _integer(entry["codim"], "codim")) for entry in data["basis"]]
+        pairing = [[_integer(v, "pairing entry") for v in row] for row in data["pairing"]]
         triples = {
-            (int(t["i"]), int(t["j"]), int(t["k"])): int(t["value"])
+            tuple(_integer(t[x], f"triple {x}") for x in "ijk"):
+                _integer(t["value"], "triple value")
             for t in data.get("triples", [])
         }
         effective = [
-            (int(e["dual_divisor_index"]), int(e["c1_degree"]))
+            (_integer(e["dual_divisor_index"], "dual_divisor_index"),
+             _integer(e["c1_degree"], "c1_degree"))
             for e in data["effective"]
         ]
         seeds = [
-            (tuple(map(int, s["class"])), tuple(map(int, s["insertions"])), s["value"])
+            (tuple(_integer(x, "seed class entry") for x in s["class"]),
+             tuple(_integer(x, "seed insertions entry") for x in s["insertions"]),
+             s["value"])
             for s in data.get("seeds", [])
         ]
         name = str(data.get("name", "user"))
-        dimension = int(data["dimension"])
+        dimension = _integer(data["dimension"], "dimension")
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
     return _build_model(name, dimension, basis, pairing, triples, effective, seeds)
@@ -404,7 +409,10 @@ def model_from_dict(data: dict) -> FanoModel:
 
 def load_model(path: str | Path) -> FanoModel:
     """Load and validate a model file (JSON, exact integers only)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

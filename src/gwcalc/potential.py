@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .boundary import marking_splits
 from .engine import GWTable, WdvvEquationId, gw_invariant
@@ -161,16 +161,8 @@ def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GW
     return first - second if eq.sign > 0 else second - first
 
 
-def g_bracket(
-    model: FanoModel,
-    table: GWTable,
-    beta: MultiIndex,
-    classes: Sequence[int],
-    q: int,
-    r: int,
-    s: int,
-    t: int,
-) -> int:
+def g_bracket(model: FanoModel, table: GWTable, beta: MultiIndex, classes: Sequence[int],
+              q: int, r: int, s: int, t: int) -> int:
     """Boundary-divisor intersection sum for marked points q,r | s,t.
 
     Sums, over all two-sided partitions of the markings with q,r on the
@@ -184,41 +176,17 @@ def g_bracket(
         raise ValueError("q, r, s, t must be four distinct positions")
     if n < 4:
         raise ValueError("need at least four insertions")
+    pairs = model.g_inv_pairs()
     total = Fraction(0)
     for side_a, side_b in marking_splits(n, (q, r), (s, t)):
         classes_a = [classes[x - 1] for x in sorted(side_a)]
         classes_b = [classes[x - 1] for x in sorted(side_b)]
-        total += glue_sum(
-            model,
-            beta,
-            lambda beta1, e: gw_invariant(model, table, beta1, classes_a + [e]),
-            lambda beta2, f: gw_invariant(model, table, beta2, classes_b + [f]),
-        )
+        for beta1 in class_splits(beta):
+            beta2 = tuple(x - y for x, y in zip(beta, beta1))
+            for e, f, gef in pairs:
+                left = gw_invariant(model, table, beta1, classes_a + [e])
+                if left:
+                    total += gef * left * gw_invariant(model, table, beta2, classes_b + [f])
     if total.denominator != 1:
         raise ArithmeticError(f"boundary sum is not integral: {total}")
     return int(total)
-
-
-def glue_sum(
-    model: FanoModel,
-    beta: MultiIndex,
-    left: Callable[[MultiIndex, int], int | Fraction],
-    right: Callable[[MultiIndex, int], int | Fraction],
-) -> Fraction:
-    """Sum of left(beta1, e) * g^{ef} * right(beta2, f) over the class
-    splittings beta = beta1 + beta2 and the nonzero inverse-pairing entries.
-
-    ``right`` is not evaluated where ``left`` vanishes.
-    """
-    total = Fraction(0)
-    pairs = model.g_inv_pairs()
-    for beta1 in class_splits(beta):
-        beta2 = tuple(x - y for x, y in zip(beta, beta1))
-        for e, f, gef in pairs:
-            left_value = left(beta1, e)
-            if left_value == 0:
-                continue
-            right_value = right(beta2, f)
-            if right_value:
-                total += gef * left_value * right_value
-    return total

@@ -366,26 +366,14 @@ def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BigRingPresentation:
-    """The verified cubic satisfied by the hyperplane class of the plane's
-    big ring: Z^3 = c2 Z^2 + c1 Z + c0 with series coefficients."""
-
-    bundle: PotentialBundle
-    coefficient_series: dict[int, GWSeries]
-    residuals: Expansion
-
-    def holds(self) -> bool:
-        return all(series.is_zero() for series in self.residuals.values())
-
-
-def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
-    """Verify the hyperplane cubic in the plane's big ring.
+def presentation_from_big(bundle: PotentialBundle) -> dict[int, GWSeries]:
+    """Verify the hyperplane cubic Z^3 = c2 Z^2 + c1 Z + c0 in the plane's
+    big ring and return its coefficients {2: c2, 1: c1, 0: c0}.
 
     Expands the triple star power of T_1, whose pairing with T_l is the
     bracket F(1,1|1,l), and subtracts the cubic with coefficients given by
     the three quantum third partials; the residual must vanish at every key
-    of the truncation box in every basis coefficient.
+    of the truncation box in every basis coefficient, else ArithmeticError.
     """
     model = bundle.model
     if (model.dimension, model.top_index, model.divisor_count) != (2, 2, 1):
@@ -403,12 +391,7 @@ def presentation_from_big(bundle: PotentialBundle) -> BigRingPresentation:
         if f == 0:
             series = series - g122
         residuals[f] = series
-    result = BigRingPresentation(
-        bundle,
-        coefficient_series={2: g111, 1: g112.scale(2), 0: g122},
-        residuals=residuals,
-    )
-    if not result.holds():
-        bad = {f: sorted(s.coeffs) for f, s in residuals.items() if not s.is_zero()}
+    bad = {f: sorted(s.coeffs) for f, s in residuals.items() if not s.is_zero()}
+    if bad:
         raise ArithmeticError(f"cubic relation fails at {bad}")
-    return result
+    return {2: g111, 1: g112.scale(2), 0: g122}

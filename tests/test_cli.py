@@ -218,6 +218,15 @@ def test_model_file_errors(capsys, tmp_path):
     assert "parse" in err
 
 
+def test_missing_model_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "solve", "--model-file", str(missing), "--dmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read model file {missing}: ")
+    assert "Traceback" not in err
+
+
 def test_csv_check_rows(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "wdvv", "--model", "p2", "--dmax", "3",

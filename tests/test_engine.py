@@ -91,12 +91,12 @@ def test_fano3_rejects_bad_input():
     [
         (1, "q3: non-integral value 1/2 for (2, 2) via (3)"),
         (-2, "q3: negative value -1 for (2, 2) via (3)"),
-        (4, "q3: recursions disagree at (2, 2): 2 vs 1 via (4)"),
+        (4, "q3: recursion (2) fails at (a,b)=(2,2): -2 != 0"),
     ],
 )
 def test_fano3_error_texts(monkeypatch, s3, message):
     # recursion (3) reads N_{2,2} = s3 / c off the sums, with c = 2 on q3;
-    # (4) then reads the true value 1
+    # an integral wrong value is caught by the degree's check of (2)
     one_pass = engine._fano3_sums
 
     def perturbed(a, b, k, known, rows):
@@ -107,6 +107,23 @@ def test_fano3_error_texts(monkeypatch, s3, message):
     with pytest.raises(SolveError) as error:
         fano3_numbers("q3", 3)
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("slot", range(6))
+def test_fano3_every_sum_is_read(monkeypatch, slot):
+    # raising recursion (slot + 1)'s sum by c = 2 at the interior point
+    # (3, 3) keeps every derived value integral; a check must still fail
+    one_pass = engine._fano3_sums
+
+    def perturbed(a, b, k, known, rows):
+        sums = list(one_pass(a, b, k, known, rows))
+        if (a, b) == (3, 3):
+            sums[slot] += 2
+        return tuple(sums)
+
+    monkeypatch.setattr(engine, "_fano3_sums", perturbed)
+    with pytest.raises(SolveError):
+        fano3_numbers("q3", 3)
 
 
 def test_fano3_table_keys(q3_table):

@@ -245,3 +245,33 @@ def test_bad_seed_rejected(p2, seeds, rule):
     data["seeds"] = seeds
     with pytest.raises(ModelError, match=rule):
         model_from_dict(data)
+
+
+def _set(data, path, value):
+    *head, last = path
+    for step in head:
+        data = data[step]
+    data[last] = value
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("dimension",), "dimension"),
+        (("basis", 1, "codim"), "codim"),
+        (("pairing", 1, 1), "pairing entry"),
+        (("triples", 0, "i"), "triple i"),
+        (("triples", 0, "value"), "triple value"),
+        (("effective", 0, "dual_divisor_index"), "dual_divisor_index"),
+        (("effective", 0, "c1_degree"), "c1_degree"),
+        (("seeds", 0, "class", 0), "seed class entry"),
+        (("seeds", 0, "insertions", 0), "seed insertions entry"),
+    ],
+)
+def test_model_numbers_must_be_exact_integers(p2, path, field, value):
+    # int() would truncate 1.9 to 1 and read true as 1, solving another model
+    data = p2.to_dict()
+    _set(data, path, value)
+    with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
+        model_from_dict(data)

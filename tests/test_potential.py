@@ -10,6 +10,7 @@ from gwcalc import (
     builtin_model,
     f_bracket,
     g_bracket,
+    model_from_dict,
     standard_seeds,
     standard_table,
     wdvv_canonical_equations,
@@ -208,3 +209,72 @@ def test_boundary_sum_equivalence_randomized(p2, plane_table, p3, p3_table, q3, 
             assert g_bracket(model, table, beta, classes, q, r, s, t) == g_bracket(
                 model, table, beta, classes, r, s, q, t
             )
+
+
+# -- the pointwise route as an oracle of the series brackets -----------------
+
+
+def _bracket_oracle(model, table, c1_max):
+    """Compare every coefficient of every bracket F(i,j|k,l), i..l >= 1, with
+    the boundary sum over the same markings; return the number of
+    dimension-matching keys compared and of other keys found zero."""
+    bundle = build_potential(model, table, c1_max)
+    total = bundle.bounds.max_total
+    keys = [
+        (beta, n)
+        for beta in model.effective_classes(c1_max)
+        for n in itertools.product(range(total + 1), repeat=bundle.bounds.n_vars)
+        if sum(n) <= total
+    ]
+    compared = zeros = 0
+    for quad in itertools.product(range(1, model.rank), repeat=4):
+        bracket = f_bracket(bundle, *quad)
+        for beta, n in keys:
+            classes = list(quad)
+            for index, count in zip(model.nondivisor_indices, n):
+                classes += [index] * count
+            coefficient = bracket.coefficient(beta, n)
+            codim = sum(model.codim(x) for x in classes)
+            if codim == model.dimension + model.c1_degree(beta) + len(classes) - 4:
+                expected = g_bracket(model, table, beta, classes, 1, 2, 3, 4)
+                assert coefficient == expected, (quad, beta, n)
+                compared += 1
+            else:
+                assert coefficient == 0, (quad, beta, n)
+                zeros += 1
+    return compared, zeros
+
+
+@pytest.mark.parametrize(
+    "spec, c1_max, counts",
+    [
+        (("p2",), 8, (21, 363)),
+        (("p3",), 8, (218, 10717)),
+        (("q3",), 8, (118, 10817)),
+        (("p1xp1",), 6, (572, 4288)),
+        (("file", "P1XP2"), 3, (416, 37084)),
+        (("file", "Q3_HYPERPLANE"), 6, (118, 6686)),
+        (("raised", "q3"), 6, (118, 6686)),
+    ],
+    ids=["p2", "p3", "q3", "p1xp1", "p1xp2", "q3h", "q3-raised"],
+)
+def test_brackets_match_boundary_sums(spec, c1_max, counts):
+    # F(i,j|k,l) = sum_{e,f} phi_ije g^ef phi_fkl, read coefficientwise, is
+    # the boundary sum g_bracket over markings i,j | k,l plus n's insertions;
+    # the identity holds on any table, so a raised count must not break it
+    if spec[0] == "file":
+        import test_oracles
+
+        model = model_from_dict(getattr(test_oracles, spec[1]))
+        table = standard_table(model, c1_max)
+    elif spec[0] == "raised":
+        # one more conic through two lines and two points
+        model = builtin_model(spec[1])
+        entries = dict(standard_table(model, c1_max).entries)
+        entries[((2,), (2, 2))] += 1
+        table = GWTable(model, c1_max, entries)
+        assert not wdvv_residual(build_potential(model, table, c1_max), 1, 2, 2, 3).is_zero()
+    else:
+        model = builtin_model(*spec)
+        table = standard_table(model, c1_max)
+    assert _bracket_oracle(model, table, c1_max) == counts

@@ -273,9 +273,11 @@ def test_ring_checks_catch_a_corrupted_cached_product(p3_potential, p3_ring):
 
 
 def test_plane_cubic_presentation(plane_potential):
-    result = presentation_from_big(plane_potential)
-    assert result.holds()
-    assert set(result.coefficient_series) == {0, 1, 2}
+    cubic = presentation_from_big(plane_potential)
+    assert set(cubic) == {0, 1, 2}
+    assert cubic[2] == plane_potential.gamma_partial(1, 1, 1)
+    assert cubic[1] == plane_potential.gamma_partial(1, 1, 2).scale(2)
+    assert cubic[0] == plane_potential.gamma_partial(1, 2, 2)
 
 
 def test_plane_cubic_unit_coefficient(plane_potential):
@@ -291,9 +293,9 @@ def test_plane_cubic_unit_coefficient(plane_potential):
 
 def test_plane_cubic_degenerates_classically(p2):
     bundle = build_potential(p2, GWTable(p2, 6), 6)
-    result = presentation_from_big(bundle)
-    assert result.holds()
-    assert all(series.is_zero() for series in result.coefficient_series.values())
+    cubic = presentation_from_big(bundle)
+    assert set(cubic) == {0, 1, 2}
+    assert all(series.is_zero() for series in cubic.values())
 
 
 def test_cubic_requires_plane_shape(q3_potential):
@@ -389,12 +391,11 @@ def test_plane_cubic_matches_products_of_products(p2):
     product, times = _products_of_products(bundle)
     pow2, pow3 = product(1, 1), times(product(1, 1), 1)
     assert any(any(beta) for series in pow3.values() for beta, _ in series.coeffs)
-    # the cubic holds in any potential; its triple power is read back from
-    # the residuals and the coefficient series
-    result = presentation_from_big(bundle)
-    cubic = result.coefficient_series
+    # the cubic holds in any potential: its residuals are zero series, so
+    # the triple power is read back from the coefficient series alone
+    cubic = presentation_from_big(bundle)
     assert {
-        f: result.residuals[f] + cubic[2] * pow2[f] + (cubic[f] if f < 2 else GWSeries.zero(bundle.bounds))
+        f: cubic[2] * pow2[f] + (cubic[f] if f < 2 else GWSeries.zero(bundle.bounds))
         for f in range(3)
     } == pow3
 
