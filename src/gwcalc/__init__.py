@@ -4,12 +4,11 @@ series with residual checks, structure-constant rings with presentations, and
 the boundary-divisor combinatorics behind the plane recursion.
 """
 
-from .boundary import BoundaryDatum, d_sum, enumerate_boundary, intersection_counts
+from .boundary import BoundaryDatum, enumerate_boundary, intersection_counts
 from .engine import (
     GWTable,
     SolveError,
     TableDepthError,
-    WdvvEquationId,
     fano3_numbers,
     fano3_solve,
     gw_invariant,
@@ -57,13 +56,11 @@ __all__ = [
     "SeriesBounds",
     "SolveError",
     "TableDepthError",
-    "WdvvEquationId",
     "big_associator",
     "big_product",
     "binomial_z",
     "build_potential",
     "builtin_model",
-    "d_sum",
     "enumerate_boundary",
     "expected_dimension",
     "f_bracket",

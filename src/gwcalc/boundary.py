@@ -66,19 +66,6 @@ def marking_splits(
         yield side_a, markings - side_a
 
 
-def _split_data(
-    n: int, beta: MultiIndex, first: Iterable[int], second: Iterable[int] = ()
-) -> list[BoundaryDatum]:
-    """The valid data over ``marking_splits`` and every class splitting."""
-    data = []
-    for side_a, side_b in marking_splits(n, first, second):
-        for beta1 in class_splits(beta):
-            datum = BoundaryDatum(side_a, side_b, beta1, _complement(beta, beta1))
-            if datum.is_valid(n, beta):
-                data.append(datum)
-    return data
-
-
 def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     """All boundary data for n markings and class beta, each exactly once.
 
@@ -91,29 +78,15 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     if any(x < 0 for x in beta):
         raise ValueError("beta must be effective")
     data: list[BoundaryDatum] = []
-    if n == 0:
-        empty: frozenset[int] = frozenset()
+    for side_a, side_b in marking_splits(n, (1,) if n else ()):
         for beta1 in class_splits(beta):
             beta2 = _complement(beta, beta1)
-            if beta1 > beta2:
+            if not n and beta1 > beta2:
                 continue  # unordered pair; keep the lexicographically least part
-            datum = BoundaryDatum(empty, empty, beta1, beta2)
-            if datum.is_valid(0, beta):
+            datum = BoundaryDatum(side_a, side_b, beta1, beta2)
+            if datum.is_valid(n, beta):
                 data.append(datum)
-        return data
-    return _split_data(n, beta, (1,))
-
-
-def d_sum(
-    n: int, beta: MultiIndex, i: int, j: int, k: int, l: int
-) -> list[BoundaryDatum]:
-    """All boundary data with markings i, j on the first side and k, l on the
-    second; the side containing i is reported first."""
-    if len({i, j, k, l}) != 4:
-        raise ValueError("markings i, j, k, l must be distinct")
-    if not all(1 <= x <= n for x in (i, j, k, l)):
-        raise ValueError("markings out of range")
-    return _split_data(n, tuple(beta), (i, j), (k, l))
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -236,12 +236,12 @@ def _wdvv_checks(bundle: PotentialBundle):
             f"{len(equations)} classes, formula gives {expected}",
         )
     )
-    for eq in equations:
-        residual = wdvv_residual(bundle, *eq.indices)
+    for quad in equations:
+        residual = wdvv_residual(bundle, *quad)
         bad = sorted(residual.coeffs)
         checks.append(
             (
-                "residual-A" + "".join(map(str, eq.indices)),
+                "residual-A" + "".join(map(str, quad)),
                 not bad,
                 "zero series" if not bad else f"nonzero at {bad[:3]}",
             )

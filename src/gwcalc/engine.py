@@ -302,46 +302,6 @@ def fano3_solve(space: str, d_max: int) -> GWTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WdvvEquationId:
-    """An index quadruple labelling one associativity equation.
-
-    ``sign`` relates the residuals: R(quadruple) = sign * R(canonical).
-    """
-
-    indices: tuple[int, int, int, int]
-    canonical: bool
-    sign: int = 1
-
-    @staticmethod
-    def orbit(quad: tuple[int, int, int, int]) -> dict[tuple[int, int, int, int], int]:
-        """Signed symmetry orbit: each image mapped to the sign s with
-        R(image) = s * R(quad), under the eight symmetries of a 4-cycle.  A
-        rotation flips the sign and a reversal keeps it.  An image reached
-        with both signs maps to 0: its residual equals its own negative."""
-        signs: dict[tuple[int, int, int, int], int] = {}
-        for turn in range(4):
-            image = quad[turn:] + quad[:turn]
-            sign = -1 if turn % 2 else 1
-            for member in (image, image[::-1]):
-                signs[member] = sign if signs.get(member, sign) == sign else 0
-        return signs
-
-    @classmethod
-    def canonicalize(cls, i: int, j: int, k: int, l: int) -> "WdvvEquationId | None":
-        """Canonical id for the (i,j,k,l) equation, or None if it is
-        identically zero: any index 0, or an orbit carrying both signs, which
-        happens exactly for a repeated outer index (i == k or j == l)."""
-        if 0 in (i, j, k, l):
-            return None
-        quad = (i, j, k, l)
-        signs = cls.orbit(quad)
-        best = min(signs)
-        if not signs[best]:
-            return None
-        return cls(best, canonical=quad == best, sign=signs[best])
-
-
 def wdvv_count(m: int) -> int:
     """Number of essentially distinct associativity equations for a basis
     with m classes of positive codimension."""
@@ -352,13 +312,22 @@ def wdvv_count(m: int) -> int:
     return count
 
 
-def wdvv_canonical_equations(m: int) -> list[WdvvEquationId]:
-    """One canonical representative per equation class on indices 1..m."""
+def wdvv_canonical_equations(m: int) -> list[tuple[int, int, int, int]]:
+    """One index quadruple per associativity equation on indices 1..m.
+
+    The eight symmetries of a 4-cycle permute the two pair partitions
+    {ij|kl} and {jk|il} of (i, j, k, l), so they fix its equation up to
+    sign; each class is represented by its least image.  A quadruple with
+    i == k or j == l compares a partition with itself and gives none.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
-    quads = itertools.product(range(1, m + 1), repeat=4)
-    found = {eq.indices for quad in quads if (eq := WdvvEquationId.canonicalize(*quad))}
-    return [WdvvEquationId(q, True) for q in sorted(found)]
+    found = set()
+    for quad in itertools.product(range(1, m + 1), repeat=4):
+        if quad[0] != quad[2] and quad[1] != quad[3]:
+            turns = [quad[t:] + quad[:t] for t in range(4)]
+            found.add(min(turns + [turn[::-1] for turn in turns]))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +358,7 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
         if model.c1_degree(beta) <= c1_max:
             known.add(beta, n, value)
 
-    quads = [eq.indices for eq in wdvv_canonical_equations(model.top_index)]
+    quads = wdvv_canonical_equations(model.top_index)
     for level in sorted({model.c1_degree(b) for b in model.effective_classes(c1_max) if any(b)}):
         unknowns, rows = _level_system(model, known, level, quads)
         equations = sorted(rows)

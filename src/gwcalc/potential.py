@@ -8,14 +8,16 @@ partials are the series
 
 the big product T_i * T_j has the coefficients sum_e phi_{ije} g^{ef}, and
 the bracket F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>
-is the one contraction behind every triple product of the big ring.  The
-residual of an index quadruple is the difference of two bracket orders; for
-a correct table it vanishes identically.  It changes sign under the
-symmetries of ``WdvvEquationId.orbit``, so each residual is read off the
-canonical quadruple of its orbit.  The dimension constraint
-sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps the total degree of every
-key at dim + c1 - 3, so within a c1 bound the series are exact on their
-whole truncation box and a residual is checked at every stored key.
+is the one contraction behind every triple product of the big ring.  Since
+F = sum phi_{ije} g^{ef} phi_{fkl} and g^{ef} is symmetric, F depends only on
+the pair partition {{i,j},{k,l}}, and it is built once per partition.  The
+residual of an index quadruple compares two partitions,
+F(i,j|k,l) - F(j,k|i,l); for a correct table it vanishes identically.
+
+The dimension constraint sum (codim T_i - 1) n_i = dim + c1(beta) - 3 caps
+the total degree of every key at dim + c1 - 3, so within a c1 bound the
+series are exact on their whole truncation box and a residual is checked at
+every stored key.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boundary import marking_splits
-from .engine import GWTable, WdvvEquationId, gw_invariant
+from .engine import GWTable, gw_invariant
 from .model import FanoModel
 from .series import GWSeries, MultiIndex, SeriesBounds, class_splits, series_partial
 
@@ -41,9 +43,9 @@ class PotentialBundle:
     ``_phi`` holds the third partials, keyed by the sorted index triple.
     ``_products`` holds the big-ring products T_i * T_j, keyed by the ordered
     pair, so the two orders are still built separately.  ``_brackets`` holds
-    the ``f_bracket`` values F(i,j|k,l), keyed by (i, j, min(k, l), max(k, l))
-    since phi is symmetric in k and l.  Cached values are shared;
-    ``qring.big_product`` hands out copies.
+    the ``f_bracket`` values F(i,j|k,l), keyed by the pair partition
+    {{i,j},{k,l}}: both pairs sorted, the lesser pair first.  Cached values
+    are shared; ``qring.big_product`` hands out copies.
     """
 
     model: FanoModel
@@ -132,14 +134,15 @@ def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialB
 
 def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:
     """F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>,
-    built once per bundle; (k, l) and (l, k) share one entry."""
-    key = (i, j, min(k, l), max(k, l))
+    built once per bundle and pair partition {{i,j},{k,l}}."""
+    first, second = sorted(((min(i, j), max(i, j)), (min(k, l), max(k, l))))
+    key = first + second
     cached = bundle._brackets.get(key)
     if cached is None:
         cached = GWSeries.zero(bundle.bounds)
-        for f, coeff in bundle.product(i, j).items():
+        for f, coeff in bundle.product(*first).items():
             if not coeff.is_zero():
-                cached = cached + coeff * bundle.phi(f, k, l)
+                cached = cached + coeff * bundle.phi(f, *second)
         bundle._brackets[key] = cached
     return cached
 
@@ -148,17 +151,13 @@ def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GW
     """R(i,j,k,l) = F(i,j|k,l) - F(j,k|i,l); the zero series for a correct
     table.
 
-    Every quadruple is read off the canonical one of its orbit, with the
-    orbit's sign, so all of them share that quadruple's two brackets.  A
-    quadruple with no canonical id (an index 0 or a repeated outer index) has
-    a residual that vanishes on any table.
+    It is zero on any table, and built from no bracket, when an index is 0
+    (both brackets are then phi of the other three) or an outer index repeats
+    (i == k or j == l, so both pair partitions are the same).
     """
-    eq = WdvvEquationId.canonicalize(i, j, k, l)
-    if eq is None:
+    if 0 in (i, j, k, l) or i == k or j == l:
         return GWSeries.zero(bundle.bounds)
-    a, b, c, d = eq.indices
-    first, second = f_bracket(bundle, a, b, c, d), f_bracket(bundle, b, c, a, d)
-    return first - second if eq.sign > 0 else second - first
+    return f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l)
 
 
 def g_bracket(model: FanoModel, table: GWTable, beta: MultiIndex, classes: Sequence[int],

@@ -5,7 +5,7 @@ divided-power series contracted from third partials of the potential, and
 its triple products are read off the potential's cached brackets through
 <(T_i * T_j) * T_k, T_l> = F(i,j|k,l).  Its associator is the WDVV
 residuals with one index raised, so it checks the same equations as the
-residual sweep, through the same canonical brackets.  The small ring is the
+residual sweep, through the same brackets.  The small ring is the
 n = 0 slice of the same products: with every non-divisor coordinate set to
 zero only the 3-point counts survive, and the divisor directions remain as
 q^beta.  That is a graded deformation over polynomials in one parameter per

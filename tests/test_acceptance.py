@@ -109,8 +109,8 @@ def test_criterion_05_residual_suite():
     ):
         model = builtin_model(model_name)
         bundle = build_potential(model, table, c1_max)
-        for eq in wdvv_canonical_equations(model.top_index):
-            residual = wdvv_residual(bundle, *eq.indices)
+        for quad in wdvv_canonical_equations(model.top_index):
+            residual = wdvv_residual(bundle, *quad)
             if not residual.is_zero():
                 ok = False
     report("05 associativity residuals vanish on the whole truncation box", ok)

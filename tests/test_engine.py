@@ -11,7 +11,6 @@ from gwcalc import (
     ModelError,
     SolveError,
     TableDepthError,
-    WdvvEquationId,
     builtin_model,
     fano3_numbers,
     fano3_solve,
@@ -327,8 +326,7 @@ def test_equation_count_large_rank():
 
 
 def test_canonical_equations_m2():
-    equations = wdvv_canonical_equations(2)
-    assert [eq.indices for eq in equations] == [(1, 1, 2, 2)]
+    assert wdvv_canonical_equations(2) == [(1, 1, 2, 2)]
 
 
 def test_canonical_equations_counts():
@@ -337,41 +335,32 @@ def test_canonical_equations_counts():
 
 
 def test_canonical_equations_well_formed():
-    for eq in wdvv_canonical_equations(4):
-        i, j, k, l = eq.indices
-        assert eq.canonical
-        assert i != k and j != l and 0 not in eq.indices
+    equations = wdvv_canonical_equations(4)
+    assert equations == sorted(set(equations))
+    for i, j, k, l in equations:
+        assert i != k and j != l and 0 not in (i, j, k, l)
 
 
-def test_canonicalize_discards_degenerate():
-    assert WdvvEquationId.canonicalize(1, 2, 1, 3) is None
-    assert WdvvEquationId.canonicalize(1, 2, 3, 2) is None
-    assert WdvvEquationId.canonicalize(0, 1, 2, 3) is None
+def _partition(a, b, c, d):
+    """The pair partition {{a,b},{c,d}} as a sorted pair of sorted pairs."""
+    return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
 
 
-def test_canonicalize_orbit_representative():
-    eq = WdvvEquationId.canonicalize(2, 2, 1, 1)
-    assert eq.indices == (1, 1, 2, 2)
-    assert not eq.canonical
-    assert WdvvEquationId.canonicalize(1, 1, 2, 2).canonical
-
-
-def test_orbit_signs_conflict_exactly_on_repeated_outer_indices():
-    # a rotation flips the residual's sign and a reversal keeps it; an orbit
-    # that reaches a quadruple with both signs marks it 0
-    for quad in itertools.product(range(1, 5), repeat=4):
-        i, j, k, l = quad
-        signs = WdvvEquationId.orbit(quad)
-        assert signs[quad] in (0, 1)
-        conflicting = 0 in signs.values()
-        assert conflicting == (i == k or j == l), quad
-        assert conflicting == (not all(signs.values())), quad
-        eq = WdvvEquationId.canonicalize(*quad)
-        assert (eq is None) == conflicting
-        if eq is not None:
-            assert eq.sign == signs[eq.indices]
-    assert WdvvEquationId.canonicalize(1, 2, 2, 1).sign == -1
-    assert WdvvEquationId.canonicalize(2, 2, 1, 1).sign == 1
+def test_canonical_equations_match_partition_pairs():
+    # an oracle free of the 4-cycle symmetries: an equation compares two
+    # distinct pair partitions of one 4-multiset, and is named by the least
+    # quadruple (i, j, k, l) whose {ij|kl} and {jk|il} are that pair
+    for m in range(1, 7):
+        expected = []
+        for multiset in itertools.combinations_with_replacement(range(1, m + 1), 4):
+            orders = set(itertools.permutations(multiset))
+            partitions = sorted({_partition(*quad) for quad in orders})
+            for pair in itertools.combinations(partitions, 2):
+                expected.append(min(
+                    (i, j, k, l) for i, j, k, l in orders
+                    if {_partition(i, j, k, l), _partition(j, k, i, l)} == set(pair)
+                ))
+        assert wdvv_canonical_equations(m) == sorted(expected)
 
 
 # -- the generic solver ------------------------------------------------------

@@ -77,9 +77,9 @@ def test_unimodular_models_keep_int_coefficients(name, c1_max):
     entries = {**table.entries, top: table.entries[top] + 1}
     raised = build_potential(model, GWTable(model, c1_max, entries), c1_max)
     residuals = [
-        wdvv_residual(potential, *eq.indices)
+        wdvv_residual(potential, *quad)
         for potential in (bundle, raised)
-        for eq in wdvv_canonical_equations(model.top_index)
+        for quad in wdvv_canonical_equations(model.top_index)
     ]
     assert bundle._brackets
     series = [
@@ -137,16 +137,16 @@ def test_residual_antisymmetry(q3_potential):
 
 def test_threefold_residual_suites(p3_potential, q3_potential):
     for bundle in (p3_potential, q3_potential):
-        for eq in wdvv_canonical_equations(3):
-            assert wdvv_residual(bundle, *eq.indices).is_zero()
+        for quad in wdvv_canonical_equations(3):
+            assert wdvv_residual(bundle, *quad).is_zero()
 
 
 def test_solved_product_of_lines_residuals():
     model = builtin_model("p1xp1")
     table = wdvv_solve(model, standard_seeds(model), 8)
     bundle = build_potential(model, table, 8)
-    for eq in wdvv_canonical_equations(3):
-        assert wdvv_residual(bundle, *eq.indices).is_zero()
+    for quad in wdvv_canonical_equations(3):
+        assert wdvv_residual(bundle, *quad).is_zero()
 
 
 # -- boundary sums -----------------------------------------------------------

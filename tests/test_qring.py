@@ -173,9 +173,11 @@ def test_sweeps_build_each_bracket_once(p3_potential, p3_ring):
     bundle._brackets = _RecordingDict()
     checks = _wdvv_checks(bundle) + _ring_checks(bundle, p3_ring)
     assert all(ok for _, ok, _ in checks)
-    # F(i,j|k,l) = F(i,j|l,k): both orders count as one bracket
-    built = [(i, j, frozenset((k, l))) for i, j, k, l in bundle._brackets.writes]
-    assert built and len(built) == len(set(built))
+    # one bracket per pair partition {{i,j},{k,l}}, keyed by its sorted form
+    written = bundle._brackets.writes
+    partitions = [sorted((tuple(sorted(key[:2])), tuple(sorted(key[2:])))) for key in written]
+    assert written and written == [first + second for first, second in partitions]
+    assert len(written) == len(set(written))
 
 
 def test_verify_makes_fewer_series_products(monkeypatch):
@@ -198,6 +200,29 @@ def test_verify_makes_fewer_series_products(monkeypatch):
     assert counts == {"wdvv": 40, "all": 40}
 
 
+def test_p4_sweeps_share_pair_partition_brackets(monkeypatch):
+    # with four distinct non-unit indices the sweeps meet F(2,3|1,4) and
+    # F(3,2|1,4), and F(2,4|1,3) and F(1,3|2,4): one bracket each
+    calls, bundles = [], []
+    multiply, build = GWSeries.__mul__, cli.build_potential
+
+    def counting(left, right):
+        calls.append(1)
+        return multiply(left, right)
+
+    def keeping(*args):
+        bundles.append(build(*args))
+        return bundles[-1]
+
+    monkeypatch.setattr(GWSeries, "__mul__", counting)
+    monkeypatch.setattr(cli, "build_potential", keeping)
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "all", "--model", "p4", "--dmax", "3"])
+    assert code == 0
+    [bundle] = bundles
+    assert (len(bundle._brackets), len(calls)) == (39, 166)
+
+
 def test_associator_builds_no_unit_brackets(monkeypatch, p3, p3_table, p3_ring):
     bundles = []
     build = cli.build_potential
@@ -215,7 +240,7 @@ def test_associator_builds_no_unit_brackets(monkeypatch, p3, p3_table, p3_ring):
     # the associator builds no bracket beyond the two of each canonical residual
     assert len(sweep._brackets) == 12
     assert set(bundle._brackets) == set(sweep._brackets)
-    assert not any(0 in key[2:] for key in bundle._brackets)
+    assert not any(0 in key for key in bundle._brackets)
     # the associator still sees one raised count
     entries = dict(p3_table.entries)
     entries[((2,), (0, 4))] += 1
