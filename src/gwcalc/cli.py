@@ -113,6 +113,8 @@ class ConfigError(ValueError):
 
 
 def _resolve_model(args: argparse.Namespace) -> FanoModel:
+    if args.r is not None and args.model != "pr":
+        raise ConfigError("--r applies only to --model pr")
     if args.model_file:
         return load_model(args.model_file)
     if args.model is None:
@@ -122,11 +124,9 @@ def _resolve_model(args: argparse.Namespace) -> FanoModel:
     return builtin_model(args.model, r=args.r)
 
 
-def _require_dmax(args: argparse.Namespace, minimum: int = 1) -> int:
-    if args.dmax is None:
-        raise ConfigError(f"{args.command} needs --dmax")
-    if args.dmax < minimum:
-        raise ConfigError(f"--dmax must be at least {minimum}")
+def _require_dmax(args: argparse.Namespace) -> int:
+    if args.dmax < 1:
+        raise ConfigError("--dmax must be at least 1")
     return args.dmax
 
 
@@ -159,7 +159,7 @@ def _cmd_fano3(args: argparse.Namespace) -> Report:
     report = Report(args.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
     if args.check:
         # the associativity residuals are a second route to the same numbers
-        bundle = build_potential(table.model, table, table.c1_max)
+        bundle = build_potential(table, table.c1_max)
         report.checks.extend(_wdvv_checks(bundle))
     return report
 
@@ -199,7 +199,7 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
         model.name, "solve", {"dmax": d_max, "c1max": c1_max}, names, _table_rows(table)
     )
     if args.check:
-        bundle = build_potential(model, table, table.c1_max)
+        bundle = build_potential(table, table.c1_max)
         report.checks.extend(_wdvv_checks(bundle))
     return report
 
@@ -208,7 +208,7 @@ def _cmd_qring(args: argparse.Namespace) -> Report:
     model = _resolve_model(args)
     c1_max = 2 * model.dimension
     table = standard_table(model, c1_max)
-    ring = small_ring(model, table)
+    ring = small_ring(table)
     rows = []
     p = len(ring.q_degrees)
     for (i, j), expansion in sorted(ring.constants.items()):
@@ -429,12 +429,10 @@ def _brute_force_boundary(model, n, beta):
 def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite not in {"wdvv", "rings", "boundary", "all"}:
         raise ConfigError("--suite must be wdvv, rings, boundary, or all")
-    d_max = args.dmax if args.dmax is not None else 3
-    if d_max < 1:
-        raise ConfigError("--dmax must be at least 1")
+    d_max = _require_dmax(args)
     bounds = {"suite": args.suite, "dmax": d_max}
 
-    name = args.model or "p2"
+    name = args.model
     grass = name.startswith("gr") and name[2:].isdigit() and len(name) == 4
     if grass:
         if args.suite not in {"rings", "all"}:
@@ -443,18 +441,18 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         report.checks.extend(_grassmannian_checks(int(name[2]), int(name[3])))
         return report
 
-    model = _resolve_model(args) if args.model or args.model_file else builtin_model("p2")
+    model = _resolve_model(args)
     report = Report(model.name, "verify", bounds, [])
     rings = args.suite in {"rings", "all"}
     if args.suite != "boundary":
         # one table: the sweeps read it to the --dmax bound, the small ring to 2 * dim
         c1_max = _solve_c1_max(model, d_max)
         table = standard_table(model, max(c1_max, 2 * model.dimension) if rings else c1_max)
-        bundle = build_potential(model, table, c1_max)
+        bundle = build_potential(table, c1_max)
     if args.suite in {"wdvv", "all"}:
         report.checks.extend(_wdvv_checks(bundle))
     if rings:
-        ring = small_ring(model, table)
+        ring = small_ring(table)
         report.checks.extend(_ring_checks(bundle, ring))
         if 1 <= model.dimension <= 4 and model.same_data(builtin_model("pr", r=model.dimension)):
             report.checks.extend(_pr_checks(ring))
@@ -481,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
         if model:
-            p.add_argument("--model", help="built-in model name (p1, p2, p3, q3, pr, p1xp1)")
-            p.add_argument("--model-file", help="path to a model description file")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--model", help="built-in model name (p1, p2, p3, q3, pr, p1xp1)")
+            source.add_argument("--model-file", help="path to a model description file")
             p.add_argument("--r", type=int, help="projective dimension for --model pr")
 
     p_nd = sub.add_parser("nd", help="plane-curve counts through d_max")
@@ -510,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True)
-    p_ver.add_argument("--dmax", type=int)
+    p_ver.add_argument("--dmax", type=int, default=3)
     add_common(p_ver)
+    p_ver.set_defaults(model="p2")
     return parser
 
 

@@ -82,11 +82,10 @@ class GWTable:
 # ---------------------------------------------------------------------------
 
 
-def gw_invariant(model: FanoModel, table: GWTable, beta: MultiIndex,
-                 classes: Sequence[int]) -> int:
-    """Evaluate the invariant of ``classes`` against ``beta`` from a table,
-    folding the insertions into a table key by the three rules."""
-    beta = tuple(beta)
+def gw_invariant(table: GWTable, beta: MultiIndex, classes: Sequence[int]) -> int:
+    """Evaluate the invariant of ``classes`` against ``beta`` on the table's
+    model, folding the insertions into a table key by the three rules."""
+    model, beta = table.model, tuple(beta)
     p = model.divisor_count
     if len(beta) != p or any(d < 0 for d in beta):
         raise ValueError(f"{beta} is not an effective class for {model.name}")
@@ -359,8 +358,10 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
             known.add(beta, n, value)
 
     quads = wdvv_canonical_equations(model.top_index)
-    for level in sorted({model.c1_degree(b) for b in model.effective_classes(c1_max) if any(b)}):
-        unknowns, rows = _level_system(model, known, level, quads)
+    for level in range(1, c1_max + 1):
+        if next(compositions(model.effective_c1, level), None) is None:
+            continue  # no curve class has this c1-degree
+        unknowns, rows = _level_system(known, level, quads)
         equations = sorted(rows)
         pivots, origin = row_reduce(rows[eq] for eq in equations)
         const = len(unknowns)
@@ -390,17 +391,16 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
     return known
 
 
-def _level_system(model: FanoModel, known: GWTable, level: int,
-                  quads: Sequence) -> tuple[list, dict]:
+def _level_system(known: GWTable, level: int, quads: Sequence) -> tuple[list, dict]:
     """The unknowns of one c1 level and the rows {(quad, key): {column: value}}
     of its system, the constant column last, as ``wdvv_solve`` describes."""
     from .potential import build_potential  # potential imports engine
 
+    model = known.model
     p, pairs = model.divisor_count, model.g_inv_pairs()
     unknowns = [
         (beta, n)
-        for beta in model.effective_classes(level)
-        if model.c1_degree(beta) == level
+        for beta in compositions(model.effective_c1, level)
         for n in compositions(model.insertion_weights(), model.dimension + level - 3)
         if (beta, n) not in known.entries
     ]
@@ -424,7 +424,7 @@ def _level_system(model: FanoModel, known: GWTable, level: int,
                     row = rows.setdefault((quad, key), {})
                     row[col] = row.get(col, 0) + value * factor
 
-    bundle = build_potential(model, known, level)
+    bundle = build_potential(known, level)
     for quad in quads:
         i, j, k, l = quad
         residual = GWSeries.zero(bundle.bounds)

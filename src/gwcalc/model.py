@@ -13,12 +13,15 @@ start from; every other count lives in tables produced by the engine.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .series import MultiIndex, SeriesBounds, row_reduce
+from .series import MultiIndex, SeriesBounds, compositions, row_reduce
 
 
 class ModelError(ValueError):
@@ -41,7 +44,8 @@ def _invert_exact(matrix: list[list[int]]) -> list[list[int | Fraction]]:
 
 @dataclass(frozen=True)
 class FanoModel:
-    """Intersection-theoretic data of a space, immutable after validation."""
+    """Intersection-theoretic data of a space: an immutable, hashable value
+    whose ``triples`` is a read-only view, left out of the hash."""
 
     name: str
     dimension: int
@@ -49,9 +53,16 @@ class FanoModel:
     codims: tuple[int, ...]
     pairing: tuple[tuple[int, ...], ...]
     pairing_inverse: tuple[tuple[int | Fraction, ...], ...]
-    triples: dict[tuple[int, int, int], int]  # keyed by sorted index triple
+    triples: Mapping[tuple[int, int, int], int] = field(hash=False)  # keyed by sorted index triple
     effective_c1: tuple[int, ...]  # anticanonical degree of each generator
     seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()  # sorted (beta, n, value)
+    _g_inv_pairs: tuple = field(init=False, repr=False, compare=False)  # set at construction
+
+    def __post_init__(self) -> None:
+        inverse = self.pairing_inverse
+        pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
+        object.__setattr__(self, "triples", MappingProxyType(dict(self.triples)))
+        object.__setattr__(self, "_g_inv_pairs", pairs)
 
     def same_data(self, other: "FanoModel") -> bool:
         """Whether the two models agree in everything but their names."""
@@ -86,15 +97,9 @@ class FanoModel:
     def g_inv(self, i: int, j: int) -> int | Fraction:
         return self.pairing_inverse[i][j]
 
-    def g_inv_pairs(self) -> list[tuple[int, int, int | Fraction]]:
+    def g_inv_pairs(self) -> tuple[tuple[int, int, int | Fraction], ...]:
         """Nonzero entries (e, f, g^{ef}) of the inverse pairing."""
-        out = []
-        for e in range(self.rank):
-            for f in range(self.rank):
-                value = self.pairing_inverse[e][f]
-                if value:
-                    out.append((e, f, value))
-        return out
+        return self._g_inv_pairs
 
     def triple(self, i: int, j: int, k: int) -> int:
         return self.triples.get(tuple(sorted((i, j, k))), 0)
@@ -106,17 +111,7 @@ class FanoModel:
 
     def effective_classes(self, c1_max: int) -> list[MultiIndex]:
         """All effective classes with anticanonical degree at most c1_max."""
-        out: list[MultiIndex] = []
-
-        def rec(prefix: tuple[int, ...], budget: int, weights: tuple[int, ...]) -> None:
-            if not weights:
-                out.append(prefix)
-                return
-            for count in range(budget // weights[0] + 1):
-                rec(prefix + (count,), budget - count * weights[0], weights[1:])
-
-        rec((), c1_max, self.effective_c1)
-        return sorted(out)
+        return sorted(b for c1 in range(c1_max + 1) for b in compositions(self.effective_c1, c1))
 
     def insertion_weights(self) -> tuple[int, ...]:
         """codim(T_i) - 1 for the non-divisor classes, the degree weights of
@@ -259,24 +254,8 @@ def _build_model(
                 f"{c1}; non-constant rational curves force at least 2"
             )
         by_divisor[dual] = c1
-    effective_c1 = tuple(by_divisor[i + 1] for i in range(p))
 
-    weights = tuple(c - 1 for c in codims[p + 1 :])
-    keys = [(beta, n) for beta, n, _ in seeds]
-    for key, (beta, n, value) in zip(keys, seeds):
-        if len(beta) != p or len(n) != len(weights):
-            raise ModelError(f"seed {key} needs {p} class and {len(weights)} insertion entries")
-        if not any(beta) or min(beta + n) < 0:
-            raise ModelError(f"seed {key} needs a non-zero class and non-negative entries")
-        c1 = sum(c * d for c, d in zip(effective_c1, beta))
-        if sum(w * e for w, e in zip(weights, n)) != dimension + c1 - 3:
-            raise ModelError(f"seed {key} violates the dimension constraint")
-        if type(value) is not int or value < 0:
-            raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
-        if keys.count(key) > 1:
-            raise ModelError(f"seed {key} appears twice")
-
-    return FanoModel(
+    model = FanoModel(
         name=name,
         dimension=dimension,
         basis_names=names,
@@ -284,9 +263,22 @@ def _build_model(
         pairing=tuple(tuple(row) for row in pairing),
         pairing_inverse=tuple(tuple(row) for row in inverse),
         triples=normalized,
-        effective_c1=effective_c1,
-        seeds=tuple(sorted(seeds)),
+        effective_c1=tuple(by_divisor[i + 1] for i in range(p)),
     )
+    q = len(model.nondivisor_indices)
+    keys = [(beta, n) for beta, n, _ in seeds]
+    for key, (beta, n, value) in zip(keys, seeds):
+        if len(beta) != p or len(n) != q:
+            raise ModelError(f"seed {key} needs {p} class and {q} insertion entries")
+        if not any(beta) or min(beta + n) < 0:
+            raise ModelError(f"seed {key} needs a non-zero class and non-negative entries")
+        if not model.dimension_matches(beta, n):
+            raise ModelError(f"seed {key} violates the dimension constraint")
+        if type(value) is not int or value < 0:
+            raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
+        if keys.count(key) > 1:
+            raise ModelError(f"seed {key} appears twice")
+    return replace(model, seeds=tuple(sorted(seeds)))
 
 
 def _projective_space(r: int) -> FanoModel:
@@ -352,8 +344,10 @@ def _product_of_lines() -> FanoModel:
     )
 
 
+@functools.cache
 def builtin_model(name: str, r: int | None = None) -> FanoModel:
-    """Construct a built-in model: p1, p2, p3, q3, pr (with r), or p1xp1."""
+    """A built-in model: p1, p2, p3, p4, q3, pr (with r), or p1xp1, built and
+    validated once per process and shared by every caller."""
     if name == "pr":
         if r is None or r < 1:
             raise ModelError("model 'pr' needs a projective dimension r >= 1")

@@ -99,8 +99,9 @@ class PotentialBundle:
         )
 
 
-def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialBundle:
-    """Assemble the potential of a table, truncated at c1-degree ``max_c1``.
+def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
+    """Assemble the potential of a table on its model, truncated at c1-degree
+    ``max_c1``.
 
     The table must cover the requested bound; its int counts appear verbatim
     as coefficients, so the potential is an int series, and its products stay
@@ -110,8 +111,7 @@ def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialB
     its whole box; a table key past that bound breaks the constraint and is
     refused.
     """
-    if table.model != model:
-        raise ValueError("table belongs to a different model")
+    model = table.model
     if max_c1 > table.c1_max:
         raise ValueError(
             f"requested c1-degree {max_c1} exceeds table coverage {table.c1_max}"
@@ -134,15 +134,16 @@ def build_potential(model: FanoModel, table: GWTable, max_c1: int) -> PotentialB
 
 def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:
     """F(i,j|k,l) = sum_f (T_i * T_j)_f phi_{fkl} = <(T_i * T_j) * T_k, T_l>,
-    built once per bundle and pair partition {{i,j},{k,l}}."""
+    built once per bundle and pair partition {{i,j},{k,l}}; a term with a zero
+    factor is skipped, not multiplied."""
     first, second = sorted(((min(i, j), max(i, j)), (min(k, l), max(k, l))))
     key = first + second
     cached = bundle._brackets.get(key)
     if cached is None:
         cached = GWSeries.zero(bundle.bounds)
         for f, coeff in bundle.product(*first).items():
-            if not coeff.is_zero():
-                cached = cached + coeff * bundle.phi(f, *second)
+            if not coeff.is_zero() and not (phi := bundle.phi(f, *second)).is_zero():
+                cached = cached + coeff * phi
         bundle._brackets[key] = cached
     return cached
 
@@ -160,7 +161,7 @@ def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GW
     return f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l)
 
 
-def g_bracket(model: FanoModel, table: GWTable, beta: MultiIndex, classes: Sequence[int],
+def g_bracket(table: GWTable, beta: MultiIndex, classes: Sequence[int],
               q: int, r: int, s: int, t: int) -> int:
     """Boundary-divisor intersection sum for marked points q,r | s,t.
 
@@ -175,7 +176,7 @@ def g_bracket(model: FanoModel, table: GWTable, beta: MultiIndex, classes: Seque
         raise ValueError("q, r, s, t must be four distinct positions")
     if n < 4:
         raise ValueError("need at least four insertions")
-    pairs = model.g_inv_pairs()
+    pairs = table.model.g_inv_pairs()
     total = Fraction(0)
     for side_a, side_b in marking_splits(n, (q, r), (s, t)):
         classes_a = [classes[x - 1] for x in sorted(side_a)]
@@ -183,9 +184,9 @@ def g_bracket(model: FanoModel, table: GWTable, beta: MultiIndex, classes: Seque
         for beta1 in class_splits(beta):
             beta2 = tuple(x - y for x, y in zip(beta, beta1))
             for e, f, gef in pairs:
-                left = gw_invariant(model, table, beta1, classes_a + [e])
+                left = gw_invariant(table, beta1, classes_a + [e])
                 if left:
-                    total += gef * left * gw_invariant(model, table, beta2, classes_b + [f])
+                    total += gef * left * gw_invariant(table, beta2, classes_b + [f])
     if total.denominator != 1:
         raise ArithmeticError(f"boundary sum is not integral: {total}")
     return int(total)

@@ -109,15 +109,16 @@ class QuantumRing:
 # ---------------------------------------------------------------------------
 
 
-def small_ring(model: FanoModel, table: GWTable) -> QuantumRing:
-    """Small quantum ring from the 3-point counts of a table.
+def small_ring(table: GWTable) -> QuantumRing:
+    """Small quantum ring of the table's model from its 3-point counts.
 
     The small ring is the n = 0 slice of the big product: the coefficient of
     T_f in T_i * T_j at the key (beta, 0) is sum_e <T_i T_j T_e>_beta g^{ef},
     the constant of q^beta.  The potential is built at c1-degree twice the
     dimension, which bounds every 3-point count, so the table must cover it.
     """
-    bundle = build_potential(model, table, 2 * model.dimension)
+    model = table.model
+    bundle = build_potential(table, 2 * model.dimension)
     q_degrees = model.effective_c1
     ring = QuantumRing(model, {}, q_degrees)
     no_insertions = (0,) * len(model.nondivisor_indices)

@@ -34,15 +34,15 @@ def q3_table():
 
 
 @pytest.fixture(scope="session")
-def plane_potential(p2, plane_table):
-    return build_potential(p2, plane_table, 18)
+def plane_potential(plane_table):
+    return build_potential(plane_table, 18)
 
 
 @pytest.fixture(scope="session")
-def p3_potential(p3, p3_table):
-    return build_potential(p3, p3_table, 16)
+def p3_potential(p3_table):
+    return build_potential(p3_table, 16)
 
 
 @pytest.fixture(scope="session")
-def q3_potential(q3, q3_table):
-    return build_potential(q3, q3_table, 12)
+def q3_potential(q3_table):
+    return build_potential(q3_table, 12)

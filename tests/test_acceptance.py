@@ -108,7 +108,7 @@ def test_criterion_05_residual_suite():
         ("q3", fano3_solve("q3", 4), 12),
     ):
         model = builtin_model(model_name)
-        bundle = build_potential(model, table, c1_max)
+        bundle = build_potential(table, c1_max)
         for quad in wdvv_canonical_equations(model.top_index):
             residual = wdvv_residual(bundle, *quad)
             if not residual.is_zero():
@@ -134,7 +134,7 @@ def test_criterion_07_ring_laws():
         ("q3", fano3_solve("q3", 3), 9),
     ):
         model = builtin_model(model_name)
-        bundle = build_potential(model, table, c1_max)
+        bundle = build_potential(table, c1_max)
         rank = model.rank
         for j in range(rank):
             product = big_product(bundle, 0, j)
@@ -162,7 +162,7 @@ def test_criterion_08_small_rings():
     ok = True
     for r in (1, 2, 3, 4):
         model = builtin_model("pr", r=r)
-        ring = small_ring(model, standard_table(model, 2 * r))
+        ring = small_ring(standard_table(model, 2 * r))
         for i in range(1, r + 1):
             for j in range(i, r + 1):
                 expansion = {

@@ -210,6 +210,40 @@ def test_exit_code_argparse(capsys):
         assert info.value.code == 2
 
 
+def test_conflicting_model_flags_are_refused(capsys, tmp_path):
+    path = tmp_path / "p2.json"
+    save_model(builtin_model("p2"), path)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--model", "p3", "--model-file", str(path), "--dmax", "1"])
+    assert info.value.code == 2
+    assert "--model-file: not allowed with argument --model" in capsys.readouterr().err
+    for argv in (
+        ("solve", "--model", "p3", "--r", "9", "--dmax", "1"),
+        ("solve", "--model-file", str(path), "--r", "9", "--dmax", "1"),
+        ("qring", "--model", "p2", "--r", "2"),
+        ("verify", "--suite", "wdvv", "--r", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --r applies only to --model pr\n")
+
+
+def test_repeated_verify_builds_no_model(capsys, monkeypatch):
+    from gwcalc import model as model_mod
+
+    argv = ("verify", "--suite", "all", "--model", "p3", "--dmax", "6")
+    assert run(capsys, *argv)[0] == 0
+    builds = []
+    build = model_mod._build_model
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_build_model", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert builds == []
+
+
 def test_model_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -332,7 +366,7 @@ def test_residual_sweep_catches_a_raised_top_count(name, c1_max):
     entries = dict(table.entries)
     entries[top] += 1
     raised = GWTable(model, table.c1_max, entries)
-    checks = cli._wdvv_checks(build_potential(model, raised, c1_max))
+    checks = cli._wdvv_checks(build_potential(raised, c1_max))
     failed = [detail for label, ok, detail in checks if not ok]
     assert failed and all(label.startswith("residual-A") for label, ok, _ in checks if not ok)
     for detail in failed:

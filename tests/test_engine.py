@@ -266,44 +266,44 @@ def test_fano3_check_catches_a_raised_top_count(monkeypatch, a):
 def test_invariant_zero_class_is_triple(p2, plane_table):
     # unit insertions reduce to the pairing; a line and a point multiply to
     # zero in the plane's cohomology
-    assert gw_invariant(p2, plane_table, (0,), [0, 1, 1]) == 1
-    assert gw_invariant(p2, plane_table, (0,), [0, 0, 2]) == 1
-    assert gw_invariant(p2, plane_table, (0,), [0, 1, 2]) == 0
-    assert gw_invariant(p2, plane_table, (0,), [1, 1, 2]) == 0
-    assert gw_invariant(p2, plane_table, (0,), [1, 1, 2, 2]) == 0
+    assert gw_invariant(plane_table, (0,), [0, 1, 1]) == 1
+    assert gw_invariant(plane_table, (0,), [0, 0, 2]) == 1
+    assert gw_invariant(plane_table, (0,), [0, 1, 2]) == 0
+    assert gw_invariant(plane_table, (0,), [1, 1, 2]) == 0
+    assert gw_invariant(plane_table, (0,), [1, 1, 2, 2]) == 0
 
 
 def test_invariant_unit_insertion_vanishes(p2, plane_table):
-    assert gw_invariant(p2, plane_table, (1,), [0, 2, 2]) == 0
+    assert gw_invariant(plane_table, (1,), [0, 2, 2]) == 0
 
 
 def test_invariant_divisor_stripping(p2, plane_table):
-    assert gw_invariant(p2, plane_table, (1,), [2, 2]) == 1
-    assert gw_invariant(p2, plane_table, (1,), [1, 1, 2, 2]) == 1
-    assert gw_invariant(p2, plane_table, (2,), [1, 2, 2, 2, 2, 2]) == 2
-    assert gw_invariant(p2, plane_table, (3,), [2] * 8) == 12
+    assert gw_invariant(plane_table, (1,), [2, 2]) == 1
+    assert gw_invariant(plane_table, (1,), [1, 1, 2, 2]) == 1
+    assert gw_invariant(plane_table, (2,), [1, 2, 2, 2, 2, 2]) == 2
+    assert gw_invariant(plane_table, (3,), [2] * 8) == 12
 
 
 def test_invariant_dimension_mismatch_is_zero(p2, plane_table):
-    assert gw_invariant(p2, plane_table, (1,), [2, 2, 2]) == 0
-    assert gw_invariant(p2, plane_table, (2,), [2, 2]) == 0
+    assert gw_invariant(plane_table, (1,), [2, 2, 2]) == 0
+    assert gw_invariant(plane_table, (2,), [2, 2]) == 0
 
 
 def test_invariant_permutation_symmetry(q3, q3_table):
     rng = random.Random(7)
     classes = [1, 2, 2, 3, 3]
-    base = gw_invariant(q3, q3_table, (2,), classes)
+    base = gw_invariant(q3_table, (2,), classes)
     assert base > 0
     for _ in range(10):
         shuffled = classes[:]
         rng.shuffle(shuffled)
-        assert gw_invariant(q3, q3_table, (2,), shuffled) == base
+        assert gw_invariant(q3_table, (2,), shuffled) == base
 
 
 def test_invariant_depth_error(p2):
     table = nd_plane(2)
     with pytest.raises(TableDepthError, match="c1-degree"):
-        gw_invariant(p2, table, (3,), [2] * 8)
+        gw_invariant(table, (3,), [2] * 8)
 
 
 # -- equation counting -------------------------------------------------------
@@ -423,10 +423,11 @@ def test_solver_names_every_free_unknown(p3):
 # -- the level system against one-count residuals ------------------------------
 
 
-def _one_count_system(model, known, level, quads):
+def _one_count_system(known, level, quads):
     """A level's unknowns and rows built from residual sweeps: an unknown's
     column is the residual of the potential holding that count alone at
     value 1, the constant column the residual of the known counts."""
+    model = known.model
     unknowns = [
         (beta, n)
         for beta in model.effective_classes(level)
@@ -437,7 +438,7 @@ def _one_count_system(model, known, level, quads):
     tables = [GWTable(model, level, {key: 1}) for key in unknowns] + [known]
     rows = {}
     for col, table in enumerate(tables):
-        bundle = build_potential(model, table, level)
+        bundle = build_potential(table, level)
         for quad in quads:
             for key, value in wdvv_residual(bundle, *quad).coeffs.items():
                 if model.c1_degree(key[0]) == level:
@@ -469,9 +470,9 @@ def test_level_rows_match_one_count_residuals(monkeypatch, make, c1_max):
     direct = engine._level_system
     constants = []
 
-    def both(model, known, level, quads):
-        unknowns, rows = direct(model, known, level, quads)
-        assert (unknowns, rows) == _one_count_system(model, known, level, quads)
+    def both(known, level, quads):
+        unknowns, rows = direct(known, level, quads)
+        assert (unknowns, rows) == _one_count_system(known, level, quads)
         constants.append(sum(len(unknowns) in row for row in rows.values()))
         return unknowns, rows
 

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from gwcalc import (
     save_model,
 )
 from gwcalc.model import _invert_exact
+from test_oracles import P1XP2, Q3_HYPERPLANE
 
 ALL_BUILTINS = ["p1", "p2", "p3", "q3", "p1xp1"]
 
@@ -182,11 +183,39 @@ def test_parse_error(tmp_path):
         load_model(path)
 
 
+def _every_model():
+    """Every built-in, with pr at two sizes, and the two oracle files."""
+    specs = [(name,) for name in ALL_BUILTINS] + [("p4",), ("pr", 2), ("pr", 6)]
+    models = [builtin_model(*spec) for spec in specs]
+    return models + [model_from_dict(P1XP2), model_from_dict(Q3_HYPERPLANE)]
+
+
 def test_effective_class_enumeration(p2):
     assert p2.effective_classes(9) == [(0,), (1,), (2,), (3,)]
     pp = builtin_model("p1xp1")
     assert (1, 1) in pp.effective_classes(4)
     assert all(pp.c1_degree(b) <= 4 for b in pp.effective_classes(4))
+    for model in _every_model():
+        ranges = [range(24 // w + 1) for w in model.effective_c1]
+        for c1_max in range(25):
+            brute = [b for b in product(*ranges) if model.c1_degree(b) <= c1_max]
+            assert model.effective_classes(c1_max) == brute
+
+
+def test_models_are_hashable_values():
+    for model in _every_model():
+        copy = model_from_dict(model.to_dict())
+        assert copy == model and copy is not model
+        assert hash(copy) == hash(model)
+        assert len({model, copy}) == 1
+    assert builtin_model("p3") is builtin_model("p3")
+    assert builtin_model("pr", r=5) is builtin_model("pr", r=5)
+
+
+def test_model_triples_are_read_only(q3):
+    with pytest.raises(TypeError):
+        q3.triples[(1, 1, 1)] = 3
+    assert q3.triple(1, 1, 1) == 2
 
 
 def test_dimension_constraint(p2, q3):

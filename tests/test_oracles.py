@@ -107,9 +107,9 @@ def test_q3_hyperplane_residuals_catch_a_raised_count():
     table = standard_table(model, 9)
     entries = dict(table.entries)
     entries[((2,), (6, 0))] += 1
-    checks = _wdvv_checks(build_potential(model, GWTable(model, 9, entries), 9))
+    checks = _wdvv_checks(build_potential(GWTable(model, 9, entries), 9))
     assert any(label.startswith("residual-A") and not ok for label, ok, _ in checks)
-    assert all(ok for _, ok, _ in _wdvv_checks(build_potential(model, table, 9)))
+    assert all(ok for _, ok, _ in _wdvv_checks(build_potential(table, 9)))
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ def test_gamma_coefficients_are_counts(plane_potential):
 
 
 def test_empty_table_gives_classical_potential(p2):
-    bundle = build_potential(p2, GWTable(p2, 6), 6)
+    bundle = build_potential(GWTable(p2, 6), 6)
     assert bundle.gamma.is_zero()
     for i in range(3):
         for j in range(3):
@@ -69,13 +69,13 @@ def test_unimodular_models_keep_int_coefficients(name, c1_max):
     # third partials, the cached big products and brackets or the residuals
     model = builtin_model(name)
     table = standard_table(model, c1_max)
-    bundle = build_potential(model, table, c1_max)
+    bundle = build_potential(table, c1_max)
     nonzero = range(1, model.rank)
     for i, j, k in itertools.product(nonzero, repeat=3):
         big_associator(bundle, i, j, k)
     top = max(key for key in table.entries if model.c1_degree(key[0]) == c1_max)
     entries = {**table.entries, top: table.entries[top] + 1}
-    raised = build_potential(model, GWTable(model, c1_max, entries), c1_max)
+    raised = build_potential(GWTable(model, c1_max, entries), c1_max)
     residuals = [
         wdvv_residual(potential, *quad)
         for potential in (bundle, raised)
@@ -95,7 +95,7 @@ def test_unimodular_models_keep_int_coefficients(name, c1_max):
 
 def test_bounds_must_be_covered(p2, plane_table):
     with pytest.raises(ValueError, match="coverage"):
-        build_potential(p2, plane_table, 21)
+        build_potential(plane_table, 21)
 
 
 def test_f_bracket_unit_contraction(q3, q3_potential):
@@ -144,7 +144,7 @@ def test_threefold_residual_suites(p3_potential, q3_potential):
 def test_solved_product_of_lines_residuals():
     model = builtin_model("p1xp1")
     table = wdvv_solve(model, standard_seeds(model), 8)
-    bundle = build_potential(model, table, 8)
+    bundle = build_potential(table, 8)
     for quad in wdvv_canonical_equations(3):
         assert wdvv_residual(bundle, *quad).is_zero()
 
@@ -156,8 +156,8 @@ def test_boundary_sum_degree_two(p2, plane_table):
     # two line conditions, four point conditions at degree 2
     classes = [1, 1, 2, 2, 2, 2]
     n2 = plane_table.get((2,), (5,))
-    same_side = g_bracket(p2, plane_table, (2,), classes, 1, 2, 3, 4)
-    crossed = g_bracket(p2, plane_table, (2,), classes, 1, 3, 2, 4)
+    same_side = g_bracket(plane_table, (2,), classes, 1, 2, 3, 4)
+    crossed = g_bracket(plane_table, (2,), classes, 1, 3, 2, 4)
     assert same_side == n2 + 1
     assert crossed == 2
     assert same_side == crossed
@@ -165,21 +165,21 @@ def test_boundary_sum_degree_two(p2, plane_table):
 
 def test_boundary_sum_zero_class_reduces_to_triples(p2, plane_table):
     classes = [1, 1, 0, 0]
-    lhs = g_bracket(p2, plane_table, (0,), classes, 1, 2, 3, 4)
-    rhs = g_bracket(p2, plane_table, (0,), classes, 2, 3, 1, 4)
+    lhs = g_bracket(plane_table, (0,), classes, 1, 2, 3, 4)
+    rhs = g_bracket(plane_table, (0,), classes, 2, 3, 1, 4)
     assert lhs == rhs == 1
 
 
 def test_boundary_sum_degree_three_equivalence(p2, plane_table):
     classes = [1, 1, 2, 2] + [2] * 5
-    lhs = g_bracket(p2, plane_table, (3,), classes, 1, 2, 3, 4)
-    rhs = g_bracket(p2, plane_table, (3,), classes, 2, 3, 1, 4)
+    lhs = g_bracket(plane_table, (3,), classes, 1, 2, 3, 4)
+    rhs = g_bracket(plane_table, (3,), classes, 2, 3, 1, 4)
     assert lhs == rhs
 
 
 def test_boundary_sum_requires_distinct_positions(p2, plane_table):
     with pytest.raises(ValueError):
-        g_bracket(p2, plane_table, (1,), [2, 2, 1, 1], 1, 1, 2, 3)
+        g_bracket(plane_table, (1,), [2, 2, 1, 1], 1, 1, 2, 3)
 
 
 def _random_instances(model, table, degree_choices, rng, count=20):
@@ -206,8 +206,8 @@ def test_boundary_sum_equivalence_randomized(p2, plane_table, p3, p3_table, q3, 
         (q3, q3_table, [(1,), (2,)]),
     ):
         for beta, classes, (q, r, s, t) in _random_instances(model, table, degrees, rng):
-            assert g_bracket(model, table, beta, classes, q, r, s, t) == g_bracket(
-                model, table, beta, classes, r, s, q, t
+            assert g_bracket(table, beta, classes, q, r, s, t) == g_bracket(
+                table, beta, classes, r, s, q, t
             )
 
 
@@ -218,7 +218,7 @@ def _bracket_oracle(model, table, c1_max):
     """Compare every coefficient of every bracket F(i,j|k,l), i..l >= 1, with
     the boundary sum over the same markings; return the number of
     dimension-matching keys compared and of other keys found zero."""
-    bundle = build_potential(model, table, c1_max)
+    bundle = build_potential(table, c1_max)
     total = bundle.bounds.max_total
     keys = [
         (beta, n)
@@ -236,7 +236,7 @@ def _bracket_oracle(model, table, c1_max):
             coefficient = bracket.coefficient(beta, n)
             codim = sum(model.codim(x) for x in classes)
             if codim == model.dimension + model.c1_degree(beta) + len(classes) - 4:
-                expected = g_bracket(model, table, beta, classes, 1, 2, 3, 4)
+                expected = g_bracket(table, beta, classes, 1, 2, 3, 4)
                 assert coefficient == expected, (quad, beta, n)
                 compared += 1
             else:
@@ -273,7 +273,7 @@ def test_brackets_match_boundary_sums(spec, c1_max, counts):
         entries = dict(standard_table(model, c1_max).entries)
         entries[((2,), (2, 2))] += 1
         table = GWTable(model, c1_max, entries)
-        assert not wdvv_residual(build_potential(model, table, c1_max), 1, 2, 2, 3).is_zero()
+        assert not wdvv_residual(build_potential(table, c1_max), 1, 2, 2, 3).is_zero()
     else:
         model = builtin_model(*spec)
         table = standard_table(model, c1_max)

@@ -97,7 +97,7 @@ def test_projective_space_associators():
         model = builtin_model("pr", r=r)
         c1_max = 2 * (r + 1)
         table = standard_table(model, c1_max)
-        bundle = build_potential(model, table, c1_max)
+        bundle = build_potential(table, c1_max)
         for i in range(1, r + 1):
             for j in range(i, r + 1):
                 for k in range(j, r + 1):
@@ -110,7 +110,7 @@ def test_projective_space_associators():
 def test_product_of_lines_associators():
     model = builtin_model("p1xp1")
     table = standard_table(model, 8)
-    bundle = build_potential(model, table, 8)
+    bundle = build_potential(table, 8)
     for i in range(1, 4):
         for j in range(i, 4):
             for k in range(j, 4):
@@ -133,7 +133,7 @@ def _uncached(bundle):
 
 @pytest.fixture(scope="module")
 def p3_ring(p3, p3_table):
-    return small_ring(p3, p3_table)
+    return small_ring(p3_table)
 
 
 @pytest.mark.parametrize("name", ["plane_potential", "p3_potential", "q3_potential"])
@@ -197,7 +197,7 @@ def test_verify_makes_fewer_series_products(monkeypatch):
         assert code == 0
         counts[suite] = len(calls)
     # the ring checks read every bracket off the residual sweep
-    assert counts == {"wdvv": 40, "all": 40}
+    assert counts == {"wdvv": 29, "all": 29}
 
 
 def test_p4_sweeps_share_pair_partition_brackets(monkeypatch):
@@ -220,7 +220,7 @@ def test_p4_sweeps_share_pair_partition_brackets(monkeypatch):
         code = cli.main(["verify", "--suite", "all", "--model", "p4", "--dmax", "3"])
     assert code == 0
     [bundle] = bundles
-    assert (len(bundle._brackets), len(calls)) == (39, 166)
+    assert (len(bundle._brackets), len(calls)) == (39, 132)
 
 
 def test_associator_builds_no_unit_brackets(monkeypatch, p3, p3_table, p3_ring):
@@ -244,7 +244,7 @@ def test_associator_builds_no_unit_brackets(monkeypatch, p3, p3_table, p3_ring):
     # the associator still sees one raised count
     entries = dict(p3_table.entries)
     entries[((2,), (0, 4))] += 1
-    raised = build_potential(p3, GWTable(p3, 16, entries), 16)
+    raised = build_potential(GWTable(p3, 16, entries), 16)
     checks = {label: ok for label, ok, _ in _ring_checks(raised, p3_ring)}
     assert checks["big-unit"] and checks["big-commutative"]
     assert not checks["big-associative"]
@@ -317,7 +317,7 @@ def test_plane_cubic_unit_coefficient(plane_potential):
 
 
 def test_plane_cubic_degenerates_classically(p2):
-    bundle = build_potential(p2, GWTable(p2, 6), 6)
+    bundle = build_potential(GWTable(p2, 6), 6)
     cubic = presentation_from_big(bundle)
     assert set(cubic) == {0, 1, 2}
     assert all(series.is_zero() for series in cubic.values())
@@ -360,7 +360,7 @@ def _raised_potential(model, c1_max):
     """The potential of a table whose every count is one too large."""
     table = standard_table(model, c1_max)
     entries = {key: value + 1 for key, value in table.entries.items()}
-    return build_potential(model, GWTable(model, c1_max, entries), c1_max)
+    return build_potential(GWTable(model, c1_max, entries), c1_max)
 
 
 @pytest.mark.parametrize(
@@ -428,7 +428,7 @@ def test_plane_cubic_matches_products_of_products(p2):
 def test_plane_cubic_check_fails_on_raised_counts(p2):
     # the cubic itself holds on this table; its one WDVV equation does not
     bundle = _raised_potential(p2, 9)
-    ring = small_ring(p2, standard_table(p2, 9))
+    ring = small_ring(standard_table(p2, 9))
     checks = {label: (ok, detail) for label, ok, detail in _ring_checks(bundle, ring)}
     ok, detail = checks["plane-cubic-presentation"]
     assert not ok and detail.startswith("T2*T2 not reproduced")
@@ -439,7 +439,7 @@ def test_plane_cubic_check_fails_on_raised_counts(p2):
 
 
 def test_plane_small_ring(p2):
-    ring = small_ring(p2, standard_table(p2, 4))
+    ring = small_ring(standard_table(p2, 4))
     assert _expansion_strings(ring.product(2, 2)) == {1: "1*q1"}
     assert _expansion_strings(ring.product(1, 1)) == {2: "1"}
     assert _expansion_strings(ring.product(1, 2)) == {0: "1*q1"}
@@ -452,7 +452,7 @@ def _expansion_strings(expansion):
 def test_projective_space_product_rules():
     for r in (1, 2, 3, 4):
         model = builtin_model("pr", r=r)
-        ring = small_ring(model, standard_table(model, 2 * r))
+        ring = small_ring(standard_table(model, 2 * r))
         for i in range(1, r + 1):
             for j in range(i, r + 1):
                 expansion = _nonzero_polys(ring.product(i, j))
@@ -472,14 +472,14 @@ def _nonzero_polys(expansion):
 def test_hyperplane_power_is_deformation_parameter():
     for r in (1, 2, 3, 4):
         model = builtin_model("pr", r=r)
-        ring = small_ring(model, standard_table(model, 2 * r))
+        ring = small_ring(standard_table(model, 2 * r))
         power = _nonzero_polys(ring.basis_power(1, r + 1))
         assert list(power) == [0]
         assert power[0].coeffs == {(1,): 1}
 
 
 def test_small_ring_homogeneity(q3):
-    ring = small_ring(q3, standard_table(q3, 6))
+    ring = small_ring(standard_table(q3, 6))
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             for mono, _ in poly.terms():
@@ -490,7 +490,7 @@ def test_small_ring_homogeneity(q3):
 def test_small_ring_q0_is_cup_product():
     for name in ("p2", "p3", "q3", "p1xp1"):
         model = builtin_model(name)
-        ring = small_ring(model, standard_table(model, 2 * model.dimension))
+        ring = small_ring(standard_table(model, 2 * model.dimension))
         classical = ring.specialize_q0()
         for i in range(model.rank):
             for j in range(i, model.rank):
@@ -503,7 +503,7 @@ def test_small_ring_q0_is_cup_product():
 
 
 def test_small_ring_commutative_storage(q3):
-    ring = small_ring(q3, standard_table(q3, 6))
+    ring = small_ring(standard_table(q3, 6))
     assert ring.product(1, 2) is ring.product(2, 1)
 
 
@@ -524,7 +524,7 @@ def _small_ring_by_invariants(model, table):
                 for beta in model.effective_classes(needed):
                     if not any(beta) or model.c1_degree(beta) != needed:
                         continue
-                    value = gw_invariant(model, table, beta, [i, j, e])
+                    value = gw_invariant(table, beta, [i, j, e])
                     if value:
                         accum[f][beta] = accum[f].get(beta, 0) + Fraction(value) * gef
             constants[(i, j)] = {
@@ -546,7 +546,7 @@ def test_small_ring_matches_the_invariant_oracle(spec):
     else:
         model = builtin_model(*spec)
     table = standard_table(model, 2 * model.dimension)
-    ring = small_ring(model, table)
+    ring = small_ring(table)
     expected = _small_ring_by_invariants(model, table)
     assert {key: {f: dict(poly.coeffs) for f, poly in expansion.items()}
             for key, expansion in ring.constants.items()} == expected
@@ -560,7 +560,7 @@ def test_small_ring_refuses_a_shallow_table(name, short):
     model = builtin_model(name)
     table = standard_table(model, short)
     with pytest.raises(ValueError) as info:
-        small_ring(model, table)
+        small_ring(table)
     message = str(info.value)
     assert f"c1-degree {2 * model.dimension}" in message
     assert f"coverage {short}" in message
@@ -568,7 +568,7 @@ def test_small_ring_refuses_a_shallow_table(name, short):
 
 def test_product_of_lines_small_ring():
     model = builtin_model("p1xp1")
-    ring = small_ring(model, standard_table(model, 4))
+    ring = small_ring(standard_table(model, 4))
     assert _expansion_strings(ring.product(1, 1)) == {0: "1*q1"}
     assert _expansion_strings(ring.product(2, 2)) == {0: "1*q2"}
     assert _expansion_strings(ring.product(1, 2)) == {3: "1"}
