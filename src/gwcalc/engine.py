@@ -461,7 +461,7 @@ def standard_table(model: FanoModel, c1_max: int) -> GWTable:
     requested bound: ``c1_max`` is the request, and no entry lies above it.
     """
     for space in ("p2", "p3", "q3"):
-        if model.same_data(builtin_model(space)):
+        if model == builtin_model(space):
             d_max = max(1, c1_max // model.effective_c1[0])
             table = nd_plane(d_max) if space == "p2" else fano3_solve(space, d_max)
             entries = {

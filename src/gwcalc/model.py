@@ -45,9 +45,10 @@ def _invert_exact(matrix: list[list[int]]) -> list[list[int | Fraction]]:
 @dataclass(frozen=True)
 class FanoModel:
     """Intersection-theoretic data of a space: an immutable, hashable value
-    whose ``triples`` is a read-only view, left out of the hash."""
+    whose ``triples`` is a read-only view, left out of the hash.  The name is
+    only a label: equality and hash read the data alone."""
 
-    name: str
+    name: str = field(compare=False)
     dimension: int
     basis_names: tuple[str, ...]
     codims: tuple[int, ...]
@@ -63,10 +64,6 @@ class FanoModel:
         pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
         object.__setattr__(self, "triples", MappingProxyType(dict(self.triples)))
         object.__setattr__(self, "_g_inv_pairs", pairs)
-
-    def same_data(self, other: "FanoModel") -> bool:
-        """Whether the two models agree in everything but their names."""
-        return replace(other, name=self.name) == self
 
     # -- basic structure ----------------------------------------------------
 
@@ -225,6 +222,8 @@ def _build_model(
 
     normalized: dict[tuple[int, int, int], int] = {}
     for (i, j, k), value in triples.items():
+        if not all(0 <= x < rank for x in (i, j, k)):
+            raise ModelError(f"triple {(i, j, k)} has an index outside 0..{rank - 1}")
         if value == 0:
             continue
         key = tuple(sorted((i, j, k)))
@@ -281,6 +280,7 @@ def _build_model(
     return replace(model, seeds=tuple(sorted(seeds)))
 
 
+@functools.cache
 def _projective_space(r: int) -> FanoModel:
     basis = [("T0", 0)] + [(f"T{i}", i) for i in range(1, r + 1)]
     pairing = [[int(i + j == r) for j in range(r + 1)] for i in range(r + 1)]
@@ -303,6 +303,7 @@ def _projective_space(r: int) -> FanoModel:
     )
 
 
+@functools.cache
 def _quadric_threefold() -> FanoModel:
     basis = [("T0", 0), ("T1", 1), ("T2", 2), ("T3", 3)]
     pairing = [
@@ -324,6 +325,7 @@ def _quadric_threefold() -> FanoModel:
     )
 
 
+@functools.cache
 def _product_of_lines() -> FanoModel:
     basis = [("T0", 0), ("T1", 1), ("T2", 1), ("T3", 2)]
     pairing = [
@@ -344,10 +346,10 @@ def _product_of_lines() -> FanoModel:
     )
 
 
-@functools.cache
 def builtin_model(name: str, r: int | None = None) -> FanoModel:
-    """A built-in model: p1, p2, p3, p4, q3, pr (with r), or p1xp1, built and
-    validated once per process and shared by every caller."""
+    """A built-in model: p1, p2, p3, p4, q3, pr (with r), or p1xp1.  Each
+    space is built and validated once per process, so ``builtin_model("p3")``
+    and ``builtin_model("pr", 3)`` are one object."""
     if name == "pr":
         if r is None or r < 1:
             raise ModelError("model 'pr' needs a projective dimension r >= 1")

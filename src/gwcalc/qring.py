@@ -63,16 +63,17 @@ class QuantumRing:
 
     model: FanoModel
     constants: dict[tuple[int, int], dict[int, GradedPoly]]
-    q_degrees: tuple[int, ...] = ()
+
+    @property
+    def q_degrees(self) -> tuple[int, ...]:
+        """The parameters' degrees: the c1-degrees of the effective generators."""
+        return self.model.effective_c1
 
     def product(self, i: int, j: int) -> dict[int, GradedPoly]:
         return self.constants[(min(i, j), max(i, j))]
 
-    def _names(self) -> tuple[str, ...]:
-        return tuple(f"q{t + 1}" for t in range(len(self.q_degrees)))
-
     def zero(self) -> GradedPoly:
-        return GradedPoly.zero(self.q_degrees, self._names())
+        return GradedPoly.zero(self.q_degrees)
 
     def star_element(self, element: dict[int, GradedPoly], j: int) -> dict[int, GradedPoly]:
         """Right-multiply an expansion sum_e a_e T_e by T_j."""
@@ -86,7 +87,7 @@ class QuantumRing:
 
     def basis_power(self, i: int, exponent: int) -> dict[int, GradedPoly]:
         """The exponent-fold product T_i * ... * T_i as an expansion."""
-        element = {0: GradedPoly.constant(self.q_degrees, 1, self._names())}
+        element = {0: GradedPoly.constant(self.q_degrees, 1)}
         for _ in range(exponent):
             element = self.star_element(element, i)
         return element
@@ -119,8 +120,7 @@ def small_ring(table: GWTable) -> QuantumRing:
     """
     model = table.model
     bundle = build_potential(table, 2 * model.dimension)
-    q_degrees = model.effective_c1
-    ring = QuantumRing(model, {}, q_degrees)
+    ring = QuantumRing(model, {})
     no_insertions = (0,) * len(model.nondivisor_indices)
     for i in range(model.rank):
         for j in range(i, model.rank):
@@ -136,7 +136,7 @@ def small_ring(table: GWTable) -> QuantumRing:
                             f"T_{i} * T_{j} -> T_{f}"
                         )
                     terms[beta] = int(coeff)
-                expansion[f] = GradedPoly(q_degrees, terms, ring._names())
+                expansion[f] = GradedPoly(ring.q_degrees, terms)
             ring.constants[(i, j)] = expansion
     return ring
 
@@ -156,11 +156,10 @@ class PresentationIdeal:
     of integer polynomials are required to stay integral.
     """
 
-    names: tuple[str, ...]
     degrees: tuple[int, ...]
     relations: tuple[GradedPoly, ...]
     _cache: dict[int, tuple[list[MultiIndex], dict[MultiIndex, dict[MultiIndex, Fraction]]]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -170,11 +169,8 @@ class PresentationIdeal:
             if rel.homogeneous_degree() is None:
                 raise ValueError(f"relation {rel} is not homogeneous")
 
-    def ring_zero(self) -> GradedPoly:
-        return GradedPoly.zero(self.degrees, self.names)
-
     def variable(self, index: int) -> GradedPoly:
-        return GradedPoly.variable(self.degrees, index, self.names)
+        return GradedPoly.variable(self.degrees, index)
 
     def monomials(self, degree: int) -> list[MultiIndex]:
         """All monomials of the given graded degree, in decreasing lex order."""
@@ -227,7 +223,7 @@ class PresentationIdeal:
                 raise ArithmeticError(
                     f"normal form of {poly} has non-integral coefficient {coeff}"
                 )
-        return GradedPoly.build(self.degrees, {m: int(c) for m, c in out.items()}, self.names)
+        return GradedPoly.build(self.degrees, {m: int(c) for m, c in out.items()})
 
     def reduces_to_zero(self, poly: GradedPoly) -> bool:
         return self.normal_form(poly).is_zero()
@@ -238,10 +234,9 @@ def pr_presentation(r: int) -> PresentationIdeal:
     one generator of degree 1, one parameter of degree r+1, one relation."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    names = ("T", "q")
     degrees = (1, r + 1)
-    relation = GradedPoly(degrees, {(r + 1, 0): 1, (0, 1): -1}, names)
-    return PresentationIdeal(names, degrees, (relation,))
+    relation = GradedPoly(degrees, {(r + 1, 0): 1, (0, 1): -1})
+    return PresentationIdeal(degrees, (relation,))
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +254,25 @@ def s_r_determinant(p: int, n: int, r: int) -> GradedPoly:
     if k < 1:
         raise ValueError("need p < n")
     degrees = tuple(range(1, k + 1))
-    names = tuple(f"s{i}" for i in range(1, k + 1))
 
     def entry(value: int) -> GradedPoly:
         if value == 0:
-            return GradedPoly.constant(degrees, 1, names)
+            return GradedPoly.constant(degrees, 1)
         if value < 0 or value > k:
-            return GradedPoly.zero(degrees, names)
-        return GradedPoly.variable(degrees, value - 1, names)
+            return GradedPoly.zero(degrees)
+        return GradedPoly.variable(degrees, value - 1)
 
     matrix = [[entry(1 + j - i) for j in range(r)] for i in range(r)]
-    return _determinant(matrix, degrees, names)
+    return _determinant(matrix, degrees)
 
 
-def _determinant(matrix, degrees, names) -> GradedPoly:
+def _determinant(matrix, degrees) -> GradedPoly:
     size = len(matrix)
     if size == 0:
-        return GradedPoly.constant(degrees, 1, names)
+        return GradedPoly.constant(degrees, 1)
     if size == 1:
         return matrix[0][0]
-    total = GradedPoly.zero(degrees, names)
+    total = GradedPoly.zero(degrees)
     for col in range(size):
         factor = matrix[0][col]
         if factor.is_zero():
@@ -287,7 +281,7 @@ def _determinant(matrix, degrees, names) -> GradedPoly:
             [row[c] for c in range(size) if c != col]
             for row in matrix[1:]
         ]
-        term = factor * _determinant(minor, degrees, names)
+        term = factor * _determinant(minor, degrees)
         total = total + (term if col % 2 == 0 else -term)
     return total
 
@@ -310,11 +304,7 @@ def _box_betti(p: int, k: int) -> list[int]:
 def grassmannian_lift(poly: GradedPoly, n: int) -> GradedPoly:
     """A polynomial in sigma_1..sigma_{n-p}, moved into the presentation ring
     of the Grassmannian in n-space, where q of degree n follows the sigmas."""
-    return GradedPoly(
-        poly.degrees + (n,),
-        {mono + (0,): c for mono, c in poly.coeffs.items()},
-        poly.names + ("q",),
-    )
+    return GradedPoly(poly.degrees + (n,), {mono + (0,): c for mono, c in poly.coeffs.items()})
 
 
 def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
@@ -331,14 +321,11 @@ def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
     if p * k > 6:
         raise ValueError("presentation supported up to p*(n-p) <= 6")
     degrees = tuple(range(1, k + 1)) + (n,)
-    names = tuple(f"s{i}" for i in range(1, k + 1)) + ("q",)
     relations = [grassmannian_lift(s_r_determinant(p, n, r), n) for r in range(p + 1, n)]
     q_mono = (0,) * k + (1,)
-    top = grassmannian_lift(s_r_determinant(p, n, n), n) + GradedPoly(
-        degrees, {q_mono: (-1) ** k}, names
-    )
+    top = grassmannian_lift(s_r_determinant(p, n, n), n) + GradedPoly(degrees, {q_mono: (-1) ** k})
     relations.append(top)
-    ideal = PresentationIdeal(names, degrees, tuple(relations))
+    ideal = PresentationIdeal(degrees, tuple(relations))
 
     # The quotient must be free of rank C(n,p) over the parameter: degree by
     # degree its rank has to equal the box-partition counts, repeated with

@@ -358,13 +358,12 @@ def _subtract(row: Row, factor: Coefficient, other: Row) -> None:
 class GradedPoly:
     """Sparse polynomial over the integers with graded variables.
 
-    ``degrees`` assigns each variable a positive integer degree; ``names``
-    are used only for printing.  Zero terms are never stored.
+    ``degrees`` assigns each variable a positive integer degree; variables
+    print as x0, x1, ...  Zero terms are never stored.
     """
 
     degrees: tuple[int, ...]
     coeffs: Mapping[MultiIndex, int] = field(default_factory=dict)
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         for mono, value in self.coeffs.items():
@@ -378,7 +377,6 @@ class GradedPoly:
         cls,
         degrees: tuple[int, ...],
         terms: Mapping[MultiIndex, int] | Iterable[tuple[MultiIndex, int]],
-        names: tuple[str, ...] | None = None,
     ) -> "GradedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
         coeffs: dict[MultiIndex, int] = {}
@@ -388,25 +386,23 @@ class GradedPoly:
                 coeffs[tuple(mono)] = acc
             else:
                 coeffs.pop(tuple(mono), None)
-        return cls(degrees, coeffs, names)
+        return cls(degrees, coeffs)
 
     @classmethod
-    def zero(cls, degrees: tuple[int, ...], names: tuple[str, ...] | None = None) -> "GradedPoly":
-        return cls(degrees, {}, names)
+    def zero(cls, degrees: tuple[int, ...]) -> "GradedPoly":
+        return cls(degrees, {})
 
     @classmethod
-    def constant(cls, degrees: tuple[int, ...], value: int,
-                 names: tuple[str, ...] | None = None) -> "GradedPoly":
+    def constant(cls, degrees: tuple[int, ...], value: int) -> "GradedPoly":
         if value == 0:
-            return cls.zero(degrees, names)
-        return cls(degrees, {(0,) * len(degrees): value}, names)
+            return cls.zero(degrees)
+        return cls(degrees, {(0,) * len(degrees): value})
 
     @classmethod
-    def variable(cls, degrees: tuple[int, ...], index: int,
-                 names: tuple[str, ...] | None = None) -> "GradedPoly":
+    def variable(cls, degrees: tuple[int, ...], index: int) -> "GradedPoly":
         mono = [0] * len(degrees)
         mono[index] = 1
-        return cls(degrees, {tuple(mono): 1}, names)
+        return cls(degrees, {tuple(mono): 1})
 
     # -- queries ----------------------------------------------------------
 
@@ -449,7 +445,7 @@ class GradedPoly:
                 coeffs[mono] = acc
             else:
                 coeffs.pop(mono, None)
-        return GradedPoly(self.degrees, coeffs, self.names or other.names)
+        return GradedPoly(self.degrees, coeffs)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + other.scale(-1)
@@ -459,10 +455,8 @@ class GradedPoly:
 
     def scale(self, value: int) -> "GradedPoly":
         if value == 0:
-            return GradedPoly(self.degrees, {}, self.names)
-        return GradedPoly(
-            self.degrees, {m: c * value for m, c in self.coeffs.items()}, self.names
-        )
+            return GradedPoly(self.degrees, {})
+        return GradedPoly(self.degrees, {m: c * value for m, c in self.coeffs.items()})
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._same_ring(other)
@@ -475,24 +469,19 @@ class GradedPoly:
                     coeffs[mono] = acc
                 else:
                     coeffs.pop(mono, None)
-        return GradedPoly(self.degrees, coeffs, self.names or other.names)
+        return GradedPoly(self.degrees, coeffs)
 
     def set_var_to_zero(self, index: int) -> "GradedPoly":
         """Specialize one variable to zero (drop every term containing it)."""
         coeffs = {m: c for m, c in self.coeffs.items() if m[index] == 0}
-        return GradedPoly(self.degrees, coeffs, self.names)
+        return GradedPoly(self.degrees, coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        names = self.names or tuple(f"x{i}" for i in range(len(self.degrees)))
         parts = []
         for mono, value in self.terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, mono)
-                if e
-            ]
+            factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e]
             body = "*".join(factors) if factors else "1"
             parts.append(f"{value}*{body}" if factors else str(value))
         return " + ".join(parts)

@@ -197,16 +197,14 @@ def test_criterion_08_small_rings():
     s1, s2, q = ideal.variable(0), ideal.variable(1), ideal.variable(2)
 
     def lift(poly):
-        return GradedPoly(
-            ideal.degrees, {m + (0,): c for m, c in poly.coeffs.items()}, ideal.names
-        )
+        return GradedPoly(ideal.degrees, {m + (0,): c for m, c in poly.coeffs.items()})
 
     ok = ok and ideal.reduces_to_zero(lift(s_r_determinant(2, 4, 3)))
     ok = ok and ideal.normal_form(lift(s_r_determinant(2, 4, 4))).set_var_to_zero(2).is_zero()
     identity = s_r_determinant(2, 4, 4)
     sign = -1
     for i in range(1, 3):
-        sigma = GradedPoly.variable(identity.degrees, i - 1, identity.names)
+        sigma = GradedPoly.variable(identity.degrees, i - 1)
         identity = identity + (s_r_determinant(2, 4, 4 - i) * sigma).scale(sign)
         sign = -sign
     ok = ok and identity.is_zero()

@@ -222,6 +222,7 @@ def test_conflicting_model_flags_are_refused(capsys, tmp_path):
         ("solve", "--model-file", str(path), "--r", "9", "--dmax", "1"),
         ("qring", "--model", "p2", "--r", "2"),
         ("verify", "--suite", "wdvv", "--r", "3"),
+        ("verify", "--suite", "rings", "--model", "gr24", "--r", "3"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: --r applies only to --model pr\n")
@@ -330,6 +331,16 @@ def test_bad_seed_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "qring", "--model-file", str(path))
     assert code == 2
     assert "dimension constraint" in err
+
+
+@pytest.mark.parametrize("triple", [(0, 0, 7), (-1, 0, 0)])
+def test_bad_triple_index_model_file(capsys, tmp_path, triple):
+    data = builtin_model("p2").to_dict()
+    data["triples"].append(dict(zip("ijk", triple), value=1))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--model-file", str(path), "--dmax", "2")
+    assert (code, out, err) == (2, "", f"error: triple {triple} has an index outside 0..2\n")
 
 
 def test_verify_labels_the_resolved_model(capsys, tmp_path):

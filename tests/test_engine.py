@@ -537,6 +537,12 @@ def test_solver_rejects_foreign_seeds(p2, q3):
         wdvv_solve(p2, standard_seeds(q3), 6)
 
 
+def test_solver_takes_seeds_of_equal_data_under_another_name(q3):
+    renamed = model_from_dict({**q3.to_dict(), "name": "quadric"})
+    table = wdvv_solve(q3, standard_seeds(renamed), 6)
+    assert table.entries == fano3_solve("q3", 2).entries
+
+
 def test_standard_table_routes(p2, q3):
     assert standard_table(p2, 9).entries == nd_plane(3).entries
     assert standard_table(q3, 6).entries == fano3_solve("q3", 2).entries

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -208,8 +209,10 @@ def test_models_are_hashable_values():
         assert copy == model and copy is not model
         assert hash(copy) == hash(model)
         assert len({model, copy}) == 1
-    assert builtin_model("p3") is builtin_model("p3")
-    assert builtin_model("pr", r=5) is builtin_model("pr", r=5)
+    # one object per built-in space, whatever the call form
+    assert builtin_model("p3") is builtin_model("pr", 3) is builtin_model("pr", r=3)
+    assert builtin_model("p1") is builtin_model("pr", r=1)
+    assert builtin_model("pr", 12) is builtin_model("pr", r=12)
 
 
 def test_model_triples_are_read_only(q3):
@@ -237,18 +240,27 @@ def test_seedless_file_loads(p2):
     del data["seeds"]
     model = model_from_dict(data)
     assert model.seeds == ()
-    assert not model.same_data(p2)
-    assert model_from_dict(p2.to_dict()).same_data(p2)
+    assert model != p2
+    assert model_from_dict(p2.to_dict()) == p2
 
 
-def test_same_data_ignores_only_the_name(p2, p3, q3):
+def test_equality_ignores_only_the_name(p2, p3, q3):
     data = q3.to_dict()
     data["name"] = "p3"
     renamed = model_from_dict(data)
-    assert renamed.same_data(q3) and q3.same_data(renamed)
-    assert renamed != q3
-    assert not renamed.same_data(p3)
-    assert not p2.same_data(builtin_model("p1xp1"))
+    assert renamed == q3 and q3 == renamed
+    assert hash(renamed) == hash(q3)
+    assert renamed.name == "p3"
+    assert renamed != p3
+    assert p2 != builtin_model("p1xp1")
+
+
+@pytest.mark.parametrize("triple", [(0, 0, 7), (-1, 0, 0), (0, 3, 0)])
+def test_triple_index_out_of_range_rejected(p2, triple):
+    data = p2.to_dict()
+    data["triples"].append(dict(zip("ijk", triple), value=1))
+    with pytest.raises(ModelError, match=re.escape(f"triple {triple} has an index outside 0..2")):
+        model_from_dict(data)
 
 
 def _seed(beta, n, value=1):

@@ -272,6 +272,7 @@ def test_graded_poly_arithmetic():
     y = GradedPoly.variable(degrees, 1)
     poly = (x + y) * (x + y)
     assert poly.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert str(poly - x.scale(3)) == "1*x1^2 + -3*x0 + 2*x0*x1 + 1*x0^2"
     assert poly.homogeneous_degree() is None
     assert (x * x).homogeneous_degree() == 2
     assert (y + x * x).homogeneous_degree() == 2
