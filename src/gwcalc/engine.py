@@ -54,6 +54,11 @@ class GWTable:
     entries: dict[TableKey, int] = field(default_factory=dict)
 
     def add(self, beta: MultiIndex, n: MultiIndex, value: int) -> None:
+        p, q = self.model.divisor_count, len(self.model.nondivisor_indices)
+        if (len(beta), len(n)) != (p, q) or min((*beta, *n)) < 0:
+            raise ValueError(
+                f"key {(beta, n)} needs {p} class and {q} insertion entries, none negative"
+            )
         if not self.model.dimension_matches(beta, n):
             raise ValueError(f"key {(beta, n)} violates the dimension constraint")
         if value < 0:
@@ -89,23 +94,22 @@ def gw_invariant(table: GWTable, beta: MultiIndex, classes: Sequence[int]) -> in
     p = model.divisor_count
     if len(beta) != p or any(d < 0 for d in beta):
         raise ValueError(f"{beta} is not an effective class for {model.name}")
-    if not any(beta):
-        return model.triple(*classes) if len(classes) == 3 else 0
-    mult = 1
-    tally = [0] * len(model.nondivisor_indices)
     for cls in classes:
         if not 0 <= cls <= model.top_index:
             raise ValueError(f"basis index {cls} out of range")
-        if cls == 0:
-            return 0
+    if not any(beta):
+        return model.triple(*classes) if len(classes) == 3 else 0
+    if 0 in classes:
+        return 0
+    mult = 1
+    tally = [0] * len(model.nondivisor_indices)
+    for cls in classes:
         if cls <= p:
             mult *= beta[cls - 1]  # the divisor's degree on beta
-            if mult == 0:
-                return 0
         else:
             tally[cls - p - 1] += 1
     n = tuple(tally)
-    if not model.dimension_matches(beta, n):
+    if not mult or not model.dimension_matches(beta, n):
         return 0
     return mult * table.get(beta, n)
 

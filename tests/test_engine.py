@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -298,6 +299,24 @@ def test_invariant_permutation_symmetry(q3, q3_table):
         shuffled = classes[:]
         rng.shuffle(shuffled)
         assert gw_invariant(q3_table, (2,), shuffled) == base
+
+
+@pytest.mark.parametrize("beta", [(0,), (1,)])
+@pytest.mark.parametrize("classes", [[0, 99], [99, 0], [99, 0, 1], [2, 2, -1]])
+def test_invariant_checks_every_index_first(plane_table, beta, classes):
+    # a unit insertion or a zero class reduces to 0 only after every index is read
+    with pytest.raises(ValueError, match="out of range"):
+        gw_invariant(plane_table, beta, classes)
+
+
+@pytest.mark.parametrize("beta, n", [((1,), (4,)), ((1, 0), (0, 2)), ((1,), (-2, 3)), ((-1,), (-4, 0))])
+def test_table_refuses_malformed_keys(p3, beta, n):
+    # the dimension constraint alone pairs the key with the weights, so a key
+    # of the wrong length or with a negative entry could pass it
+    table = GWTable(p3, 4)
+    with pytest.raises(ValueError, match=re.escape(str((beta, n)))):
+        table.add(beta, n, 5)
+    assert not table.entries
 
 
 def test_invariant_depth_error(p2):

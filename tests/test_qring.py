@@ -4,6 +4,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcalc import (
     GWTable,
@@ -386,6 +388,18 @@ def test_associator_matches_products_of_products(spec, c1_max):
         nonzero += sum(not series.is_zero() for series in expected.values())
     # the raised counts break associativity, so the comparison is not empty
     assert nonzero
+    # the ring suite's verdict, read off the canonical residuals, is the
+    # all-associators verdict, on the raised table and on the correct one
+    table = standard_table(model, max(c1_max, 2 * model.dimension))
+    ring = small_ring(table)
+    for potential, associative in ((bundle, False), (build_potential(table, c1_max), True)):
+        verdict = {label: ok for label, ok, _ in _ring_checks(potential, ring)}
+        assert verdict["big-associative"] == associative
+        assert associative == all(
+            series.is_zero()
+            for i, j, k in itertools.product(range(model.rank), repeat=3)
+            for series in big_associator(potential, i, j, k).values()
+        )
 
 
 @pytest.mark.parametrize(
@@ -411,11 +425,16 @@ def test_residual_signs_match_the_bracket_formula(spec, c1_max):
     assert nonzero
 
 
-def test_plane_cubic_matches_products_of_products(p2):
-    bundle = _raised_potential(p2, 9)
+@settings(max_examples=25, deadline=None)
+@given(counts=st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
+def test_plane_cubic_matches_products_of_products(counts):
+    p2 = builtin_model("p2")
+    entries = {((d,), (3 * d - 1,)): value for d, value in enumerate(counts, 1)}
+    bundle = build_potential(GWTable(p2, 9, entries), 9)
     product, times = _products_of_products(bundle)
     pow2, pow3 = product(1, 1), times(product(1, 1), 1)
-    assert any(any(beta) for series in pow3.values() for beta, _ in series.coeffs)
+    # any nonzero count reaches the triple power's quantum terms
+    assert any(any(beta) for series in pow3.values() for beta, _ in series.coeffs) == any(counts)
     # the cubic holds in any potential: its residuals are zero series, so
     # the triple power is read back from the coefficient series alone
     cubic = presentation_from_big(bundle)
@@ -573,6 +592,22 @@ def test_product_of_lines_small_ring():
     assert _expansion_coeffs(ring.product(2, 2)) == {0: {(0, 1): 1}}
     assert _expansion_coeffs(ring.product(1, 2)) == {3: {(0, 0): 1}}
     assert _expansion_coeffs(ring.product(3, 3)) == {0: {(1, 1): 1}}
+
+
+def test_product_of_lines_ring_is_the_tensor_square_of_the_line():
+    # QH(P^1) = Z[h, q]/(h^2 - q): h^a * h^b = q^e h^c with (e, c) = divmod(a + b, 2)
+    line = small_ring(standard_table(builtin_model("p1"), 2))
+    for a, b in itertools.product(range(2), repeat=2):
+        e, c = divmod(a + b, 2)
+        assert _expansion_coeffs(line.product(a, b)) == {c: {(e,): 1}}
+    # T1 and T2 are h pulled back from the two factors, T3 is their product,
+    # and q^beta is q1^beta1 q2^beta2
+    index = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    ring = small_ring(standard_table(builtin_model("p1xp1"), 4))
+    for (a1, b1), (a2, b2) in itertools.product(index, repeat=2):
+        (e1, c1), (e2, c2) = divmod(a1 + a2, 2), divmod(b1 + b2, 2)
+        expected = {index[(c1, c2)]: {(e1, e2): 1}}
+        assert _expansion_coeffs(ring.product(index[(a1, b1)], index[(a2, b2)])) == expected
 
 
 # -- presentations ------------------------------------------------------------
