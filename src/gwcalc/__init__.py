@@ -4,7 +4,7 @@ series with residual checks, structure-constant rings with presentations, and
 the boundary-divisor combinatorics behind the plane recursion.
 """
 
-from .boundary import BoundaryDatum, enumerate_boundary, intersection_counts
+from .boundary import BoundaryDatum, enumerate_boundary, g_bracket, intersection_counts
 from .engine import (
     GWTable,
     SolveError,
@@ -29,7 +29,7 @@ from .model import (
     model_from_dict,
     save_model,
 )
-from .potential import PotentialBundle, build_potential, f_bracket, g_bracket, wdvv_residual
+from .potential import PotentialBundle, build_potential, f_bracket, wdvv_residual
 from .qring import (
     PresentationIdeal,
     QuantumRing,

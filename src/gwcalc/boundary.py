@@ -6,6 +6,8 @@ to the stability condition that a side carrying the zero class holds at
 least two markings.  Data are unordered; we fix the orientation with the
 lexicographically least side first.
 
+``g_bracket`` sums the side invariants of the data with two fixed markings
+on each side, pointwise; it is the oracle of the potential's brackets.
 ``intersection_counts`` replays the plane argument: cutting the two sides of
 the four-point linear equivalence with a generic curve of incidence
 conditions itemizes, datum type by datum type, into products of counts, and
@@ -16,9 +18,10 @@ pair every class split with its mirror; the items are built only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
-from .engine import GWTable
+from .engine import GWTable, gw_invariant
 from .series import MultiIndex, binomial_row, class_splits
 
 
@@ -64,6 +67,38 @@ def marking_splits(
     for mask in range(1 << len(free)):
         side_a = frozenset(first) | {free[x] for x in range(len(free)) if mask >> x & 1}
         yield side_a, markings - side_a
+
+
+def g_bracket(table: GWTable, beta: MultiIndex, classes: Sequence[int],
+              q: int, r: int, s: int, t: int) -> int:
+    """Boundary-divisor intersection sum for marked points q,r | s,t.
+
+    Sums, over all two-sided partitions of the markings with q,r on the
+    first side and s,t on the second and over all effective splittings of
+    beta, the pairing-contracted product of the two side invariants.
+    Positions are 1-based into ``classes``.  It is the pointwise oracle of
+    the potential's brackets F(i,j|k,l).
+    """
+    n = len(classes)
+    positions = (q, r, s, t)
+    if len(set(positions)) != 4 or not all(1 <= x <= n for x in positions):
+        raise ValueError("q, r, s, t must be four distinct positions")
+    if n < 4:
+        raise ValueError("need at least four insertions")
+    pairs = table.model.g_inv_pairs()
+    total = Fraction(0)
+    for side_a, side_b in marking_splits(n, (q, r), (s, t)):
+        classes_a = [classes[x - 1] for x in sorted(side_a)]
+        classes_b = [classes[x - 1] for x in sorted(side_b)]
+        for beta1 in class_splits(beta):
+            beta2 = _complement(beta, beta1)
+            for e, f, gef in pairs:
+                left = gw_invariant(table, beta1, classes_a + [e])
+                if left:
+                    total += gef * left * gw_invariant(table, beta2, classes_b + [f])
+    if total.denominator != 1:
+        raise ArithmeticError(f"boundary sum is not integral: {total}")
+    return int(total)
 
 
 def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import FanoModel, ModelError, builtin_model
+from .potential import build_potential
 from .series import GWSeries, MultiIndex, binomial_row, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
@@ -46,21 +47,22 @@ class GWTable:
 
     ``entries`` holds every dimensionally-valid key whose c1-degree is at
     most ``c1_max`` (values may be zero); immutable by convention once
-    returned from a producer.
+    returned from a producer.  Entries given to the constructor go through
+    ``add``, so every key passes ``FanoModel.key_problem``.
     """
 
     model: FanoModel
     c1_max: int
     entries: dict[TableKey, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        given, self.entries = self.entries, {}
+        for (beta, n), value in given.items():
+            self.add(beta, n, value)
+
     def add(self, beta: MultiIndex, n: MultiIndex, value: int) -> None:
-        p, q = self.model.divisor_count, len(self.model.nondivisor_indices)
-        if (len(beta), len(n)) != (p, q) or min((*beta, *n)) < 0:
-            raise ValueError(
-                f"key {(beta, n)} needs {p} class and {q} insertion entries, none negative"
-            )
-        if not self.model.dimension_matches(beta, n):
-            raise ValueError(f"key {(beta, n)} violates the dimension constraint")
+        if problem := self.model.key_problem(beta, n):
+            raise ValueError(f"key {(beta, n)} {problem}")
         if value < 0:
             raise ValueError(f"negative count {value} at {(beta, n)}")
         self.entries[(beta, n)] = value
@@ -398,8 +400,6 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
 def _level_system(known: GWTable, level: int, quads: Sequence) -> tuple[list, dict]:
     """The unknowns of one c1 level and the rows {(quad, key): {column: value}}
     of its system, the constant column last, as ``wdvv_solve`` describes."""
-    from .potential import build_potential  # potential imports engine
-
     model = known.model
     p, pairs = model.divisor_count, model.g_inv_pairs()
     unknowns = [

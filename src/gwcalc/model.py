@@ -8,14 +8,16 @@ non-negative integer vectors in the basis dual to T_1..T_p; each generator
 carries its anticanonical degree, which is at least 2.
 
 Models carry only their seeds, the few counts the associativity equations
-start from; every other count lives in tables produced by the engine.
+start from; every other count lives in tables produced by the engine.  A
+model is valid by construction, and ``FanoModel.key_problem`` is the one
+check of a count's key, for seeds and tables alike.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -46,23 +48,100 @@ def _invert_exact(matrix: list[list[int]]) -> list[list[int | Fraction]]:
 class FanoModel:
     """Intersection-theoretic data of a space: an immutable, hashable value
     whose ``triples`` is a read-only view, left out of the hash.  The name is
-    only a label: equality and hash read the data alone."""
+    only a label: equality and hash read the data alone.
+
+    Every construction, ``dataclasses.replace`` included, checks every
+    structural invariant and raises :class:`ModelError` naming the first one
+    broken.  ``triples`` may key a product by its indices in any order; it is
+    stored by the sorted index triple, zeros dropped.  Generator i of
+    ``effective_c1`` is dual to the divisor T_{i+1}.  ``seeds`` lists
+    (beta, n, value) counts in the table-key convention and is stored sorted.
+    The exact inverse pairing is derived, never given.
+    """
 
     name: str = field(compare=False)
     dimension: int
     basis_names: tuple[str, ...]
     codims: tuple[int, ...]
     pairing: tuple[tuple[int, ...], ...]
-    pairing_inverse: tuple[tuple[int | Fraction, ...], ...]
-    triples: Mapping[tuple[int, int, int], int] = field(hash=False)  # keyed by sorted index triple
+    triples: Mapping[tuple[int, int, int], int] = field(hash=False)
     effective_c1: tuple[int, ...]  # anticanonical degree of each generator
-    seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()  # sorted (beta, n, value)
-    _g_inv_pairs: tuple = field(init=False, repr=False, compare=False)  # set at construction
+    seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()
+    pairing_inverse: tuple[tuple[int | Fraction, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _g_inv_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        inverse = self.pairing_inverse
+        dimension, codims, pairing, rank = self.dimension, self.codims, self.pairing, self.rank
+        if rank == 0 or codims[0] != 0:
+            raise ModelError("basis must start with the unit class of codimension 0")
+        if codims.count(0) != 1:
+            raise ModelError("exactly one basis class may have codimension 0")
+        p = self.divisor_count
+        if codims[1 : p + 1] != (1,) * p or any(c < 2 for c in codims[p + 1 :]):
+            raise ModelError("basis must be ordered unit, divisors, higher codimension")
+        if any(c > dimension for c in codims):
+            raise ModelError("basis codimension exceeds the dimension")
+        for k in range(dimension + 1):
+            low, high = codims.count(k), codims.count(dimension - k)
+            if low != high:
+                raise ModelError(
+                    f"basis counts violate duality: {low} classes in codimension {k} "
+                    f"but {high} in codimension {dimension - k}"
+                )
+
+        if len(pairing) != rank or any(len(row) != rank for row in pairing):
+            raise ModelError("pairing matrix has the wrong shape")
+        for i in range(rank):
+            for j in range(rank):
+                if pairing[i][j] != pairing[j][i]:
+                    raise ModelError("pairing matrix is not symmetric")
+                if pairing[i][j] and codims[i] + codims[j] != dimension:
+                    raise ModelError("pairing must vanish off complementary codimension")
+        inverse = tuple(map(tuple, _invert_exact(pairing)))
+
+        triples: dict[tuple[int, int, int], int] = {}
+        for (i, j, k), value in self.triples.items():
+            if not all(0 <= x < rank for x in (i, j, k)):
+                raise ModelError(f"triple {(i, j, k)} has an index outside 0..{rank - 1}")
+            if value == 0:
+                continue
+            key = tuple(sorted((i, j, k)))
+            if triples.setdefault(key, value) != value:
+                raise ModelError(f"conflicting triple product at {key}")
+            if codims[i] + codims[j] + codims[k] != dimension:
+                raise ModelError(f"triple {key} violates the codimension constraint")
+        for j in range(rank):
+            for k in range(rank):
+                if triples.get(tuple(sorted((0, j, k))), 0) != pairing[j][k]:
+                    raise ModelError(
+                        f"unit law fails: triple (0,{j},{k}) must equal the pairing"
+                    )
+
+        if len(self.effective_c1) != p:
+            raise ModelError("need exactly one effective generator per divisor class")
+        for dual, c1 in enumerate(self.effective_c1, 1):
+            if c1 < 2:
+                raise ModelError(
+                    f"effective generator dual to T_{dual} has anticanonical degree "
+                    f"{c1}; non-constant rational curves force at least 2"
+                )
+
+        keys = [(beta, n) for beta, n, _ in self.seeds]
+        for beta, n, value in self.seeds:
+            key = (beta, n)
+            if problem := self.key_problem(*key):
+                raise ModelError(f"seed {key} {problem}")
+            if type(value) is not int or value < 0:
+                raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
+            if keys.count(key) > 1:
+                raise ModelError(f"seed {key} appears twice")
+
         pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
-        object.__setattr__(self, "triples", MappingProxyType(dict(self.triples)))
+        object.__setattr__(self, "triples", MappingProxyType(triples))
+        object.__setattr__(self, "seeds", tuple(sorted(self.seeds)))
+        object.__setattr__(self, "pairing_inverse", inverse)
         object.__setattr__(self, "_g_inv_pairs", pairs)
 
     # -- basic structure ----------------------------------------------------
@@ -122,6 +201,20 @@ class FanoModel:
             self.dimension + self.c1_degree(beta) - 3
         )
 
+    def key_problem(self, beta: MultiIndex, n: MultiIndex) -> str | None:
+        """Why (beta, n) cannot key a count, or None if it can: a key has one
+        entry per divisor and per non-divisor class, none negative, a
+        non-zero class (the zero class gives the classical triples) and
+        meets the dimension constraint.  Seeds and tables both read it."""
+        p, q = self.divisor_count, len(self.nondivisor_indices)
+        if len(beta) != p or len(n) != q:
+            return f"needs {p} class and {q} insertion entries"
+        if not any(beta) or min((*beta, *n)) < 0:
+            return "needs a non-zero class and non-negative entries"
+        if not self.dimension_matches(beta, n):
+            return "violates the dimension constraint"
+        return None
+
     def series_bounds(self, max_c1: int) -> SeriesBounds:
         """Series bounds compatible with this model's grading.
 
@@ -166,183 +259,53 @@ def expected_dimension(model: FanoModel, beta: MultiIndex, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Construction and validation
+# Built-in spaces
 # ---------------------------------------------------------------------------
 
-
-def _build_model(
-    name: str,
-    dimension: int,
-    basis: list[tuple[str, int]],
-    pairing: list[list[int]],
-    triples: dict[tuple[int, int, int], int],
-    effective: list[tuple[int, int]],
-    seeds: list[tuple[MultiIndex, MultiIndex, object]],
-) -> FanoModel:
-    """Assemble and validate a model from raw data.
-
-    ``effective`` lists (dual_divisor_index, c1_degree) pairs; generators are
-    reordered so that generator i is dual to the divisor T_i.  ``seeds`` lists
-    (beta, n, value) counts in the table-key convention of the engine.
-    """
-    names = tuple(n for n, _ in basis)
-    codims = tuple(c for _, c in basis)
-    rank = len(codims)
-
-    if rank == 0 or codims[0] != 0:
-        raise ModelError("basis must start with the unit class of codimension 0")
-    if sum(1 for c in codims if c == 0) != 1:
-        raise ModelError("exactly one basis class may have codimension 0")
-    p = sum(1 for c in codims if c == 1)
-    if tuple(codims[1 : p + 1]) != (1,) * p or any(c < 2 for c in codims[p + 1 :]):
-        raise ModelError("basis must be ordered unit, divisors, higher codimension")
-    if any(c > dimension for c in codims):
-        raise ModelError("basis codimension exceeds the dimension")
-
-    for k in range(dimension + 1):
-        low = sum(1 for c in codims if c == k)
-        high = sum(1 for c in codims if c == dimension - k)
-        if low != high:
-            raise ModelError(
-                f"basis counts violate duality: {low} classes in codimension {k} "
-                f"but {high} in codimension {dimension - k}"
-            )
-
-    if len(pairing) != rank or any(len(row) != rank for row in pairing):
-        raise ModelError("pairing matrix has the wrong shape")
-    for i in range(rank):
-        for j in range(rank):
-            if pairing[i][j] != pairing[j][i]:
-                raise ModelError("pairing matrix is not symmetric")
-            if pairing[i][j] and codims[i] + codims[j] != dimension:
-                raise ModelError(
-                    "pairing must vanish off complementary codimension"
-                )
-    inverse = _invert_exact([list(row) for row in pairing])
-
-    normalized: dict[tuple[int, int, int], int] = {}
-    for (i, j, k), value in triples.items():
-        if not all(0 <= x < rank for x in (i, j, k)):
-            raise ModelError(f"triple {(i, j, k)} has an index outside 0..{rank - 1}")
-        if value == 0:
-            continue
-        key = tuple(sorted((i, j, k)))
-        if normalized.setdefault(key, value) != value:
-            raise ModelError(f"conflicting triple product at {key}")
-        if codims[i] + codims[j] + codims[k] != dimension:
-            raise ModelError(f"triple {key} violates the codimension constraint")
-    for j in range(rank):
-        for k in range(rank):
-            expected = pairing[j][k]
-            if normalized.get(tuple(sorted((0, j, k))), 0) != expected:
-                raise ModelError(
-                    f"unit law fails: triple (0,{j},{k}) must equal the pairing"
-                )
-
-    if len(effective) != p:
-        raise ModelError("need exactly one effective generator per divisor class")
-    by_divisor: dict[int, int] = {}
-    for dual, c1 in effective:
-        if not 1 <= dual <= p:
-            raise ModelError(f"dual divisor index {dual} out of range")
-        if dual in by_divisor:
-            raise ModelError(f"duplicate effective generator for divisor {dual}")
-        if c1 < 2:
-            raise ModelError(
-                f"effective generator dual to T_{dual} has anticanonical degree "
-                f"{c1}; non-constant rational curves force at least 2"
-            )
-        by_divisor[dual] = c1
-
-    model = FanoModel(
-        name=name,
-        dimension=dimension,
-        basis_names=names,
-        codims=codims,
-        pairing=tuple(tuple(row) for row in pairing),
-        pairing_inverse=tuple(tuple(row) for row in inverse),
-        triples=normalized,
-        effective_c1=tuple(by_divisor[i + 1] for i in range(p)),
-    )
-    q = len(model.nondivisor_indices)
-    keys = [(beta, n) for beta, n, _ in seeds]
-    for key, (beta, n, value) in zip(keys, seeds):
-        if len(beta) != p or len(n) != q:
-            raise ModelError(f"seed {key} needs {p} class and {q} insertion entries")
-        if not any(beta) or min(beta + n) < 0:
-            raise ModelError(f"seed {key} needs a non-zero class and non-negative entries")
-        if not model.dimension_matches(beta, n):
-            raise ModelError(f"seed {key} violates the dimension constraint")
-        if type(value) is not int or value < 0:
-            raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
-        if keys.count(key) > 1:
-            raise ModelError(f"seed {key} appears twice")
-    return replace(model, seeds=tuple(sorted(seeds)))
+_ANTIDIAGONAL = tuple(tuple(int(i + j == 3) for j in range(4)) for i in range(4))
 
 
 @functools.cache
 def _projective_space(r: int) -> FanoModel:
-    basis = [("T0", 0)] + [(f"T{i}", i) for i in range(1, r + 1)]
-    pairing = [[int(i + j == r) for j in range(r + 1)] for i in range(r + 1)]
-    triples = {
-        (i, j, k): 1
-        for i in range(r + 1)
-        for j in range(i, r + 1)
-        for k in range(j, r + 1)
-        if i + j + k == r
-    }
     point = (0,) * (r - 2) + (2,) if r > 1 else ()  # one line through two points
-    return _build_model(
+    return FanoModel(
         name=f"p{r}" if r <= 9 else f"pr({r})",
         dimension=r,
-        basis=basis,
-        pairing=pairing,
-        triples=triples,
-        effective=[(1, r + 1)],
-        seeds=[((1,), point, 1)],
+        basis_names=tuple(f"T{i}" for i in range(r + 1)),
+        codims=tuple(range(r + 1)),
+        pairing=tuple(tuple(int(i + j == r) for j in range(r + 1)) for i in range(r + 1)),
+        triples={(i, j, r - i - j): 1 for i in range(r + 1) for j in range(r + 1 - i)},
+        effective_c1=(r + 1,),
+        seeds=(((1,), point, 1),),
     )
 
 
 @functools.cache
 def _quadric_threefold() -> FanoModel:
-    basis = [("T0", 0), ("T1", 1), ("T2", 2), ("T3", 3)]
-    pairing = [
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-    ]
     # T1 cup T1 = 2 T2 on the quadric, so the hyperplane cube is 2.
-    triples = {(0, 0, 3): 1, (0, 1, 2): 1, (1, 1, 1): 2}
-    return _build_model(
+    return FanoModel(
         name="q3",
         dimension=3,
-        basis=basis,
-        pairing=pairing,
-        triples=triples,
-        effective=[(1, 3)],
-        seeds=[((1,), (1, 1), 1)],  # one line meets a line and a point
+        basis_names=("T0", "T1", "T2", "T3"),
+        codims=(0, 1, 2, 3),
+        pairing=_ANTIDIAGONAL,
+        triples={(0, 0, 3): 1, (0, 1, 2): 1, (1, 1, 1): 2},
+        effective_c1=(3,),
+        seeds=(((1,), (1, 1), 1),),  # one line meets a line and a point
     )
 
 
 @functools.cache
 def _product_of_lines() -> FanoModel:
-    basis = [("T0", 0), ("T1", 1), ("T2", 1), ("T3", 2)]
-    pairing = [
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-    ]
-    triples = {(0, 0, 3): 1, (0, 1, 2): 1}
-    return _build_model(
+    return FanoModel(
         name="p1xp1",
         dimension=2,
-        basis=basis,
-        pairing=pairing,
-        triples=triples,
-        effective=[(1, 2), (2, 2)],
-        seeds=[((1, 0), (1,), 1), ((0, 1), (1,), 1)],  # one ruling line per point
+        basis_names=("T0", "T1", "T2", "T3"),
+        codims=(0, 1, 1, 2),
+        pairing=_ANTIDIAGONAL,
+        triples={(0, 0, 3): 1, (0, 1, 2): 1},
+        effective_c1=(2, 2),
+        seeds=(((1, 0), (1,), 1), ((0, 1), (1,), 1)),  # one ruling line per point
     )
 
 
@@ -376,7 +339,13 @@ def _integer(value: object, field: str) -> int:
 
 
 def model_from_dict(data: dict) -> FanoModel:
-    """Build a validated model from the documented JSON structure."""
+    """Build a validated model from the documented JSON structure.
+
+    The effective generators are put in divisor order when their dual
+    indices are 1..k in some order, and otherwise kept in file order.  The
+    indices are checked once the model is built, against its divisor count,
+    so a basis fault that changes that count is reported as a basis fault.
+    """
     try:
         basis = [(entry["name"], _integer(entry["codim"], "codim")) for entry in data["basis"]]
         pairing = [[_integer(v, "pairing entry") for v in row] for row in data["pairing"]]
@@ -400,7 +369,25 @@ def model_from_dict(data: dict) -> FanoModel:
         dimension = _integer(data["dimension"], "dimension")
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
-    return _build_model(name, dimension, basis, pairing, triples, effective, seeds)
+    duals = [dual for dual, _ in effective]
+    if sorted(duals) == list(range(1, len(duals) + 1)):
+        effective.sort()
+    model = FanoModel(
+        name=name,
+        dimension=dimension,
+        basis_names=tuple(n for n, _ in basis),
+        codims=tuple(c for _, c in basis),
+        pairing=tuple(map(tuple, pairing)),
+        triples=triples,
+        effective_c1=tuple(c1 for _, c1 in effective),
+        seeds=tuple(seeds),
+    )
+    for position, dual in enumerate(duals):
+        if not 1 <= dual <= model.divisor_count:
+            raise ModelError(f"dual divisor index {dual} out of range")
+        if dual in duals[:position]:
+            raise ModelError(f"duplicate effective generator for divisor {dual}")
+    return model
 
 
 def load_model(path: str | Path) -> FanoModel:

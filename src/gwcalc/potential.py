@@ -23,13 +23,13 @@ every stored key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .boundary import marking_splits
-from .engine import GWTable, gw_invariant
 from .model import FanoModel
-from .series import GWSeries, MultiIndex, SeriesBounds, class_splits, series_partial
+from .series import GWSeries, SeriesBounds, series_partial
+
+if TYPE_CHECKING:
+    from .engine import GWTable
 
 
 # Expansion of a big-ring element over the model's basis: index -> series.
@@ -105,11 +105,10 @@ def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
 
     The table must cover the requested bound; its int counts appear verbatim
     as coefficients, so the potential is an int series, and its products stay
-    ints unless the model's inverse pairing has denominators.  The dimension
-    constraint caps every key's total degree at dim + max_c1 - 3, the
-    total-degree bound of ``model.series_bounds``, so the series is exact on
-    its whole box; a table key past that bound breaks the constraint and is
-    refused.
+    ints unless the model's inverse pairing has denominators.  Every table key
+    meets the dimension constraint, which caps its total degree at
+    dim + max_c1 - 3, the total-degree bound of ``model.series_bounds``, so
+    the series is exact on its whole box.
     """
     model = table.model
     if max_c1 > table.c1_max:
@@ -117,19 +116,12 @@ def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
             f"requested c1-degree {max_c1} exceeds table coverage {table.c1_max}"
         )
     bounds = model.series_bounds(max_c1)
-    terms = {}
-    for (beta, n), value in table.entries.items():
-        if model.c1_degree(beta) > max_c1:
-            continue
-        if sum(n) > bounds.max_total:
-            raise ValueError(
-                f"table key {(beta, n)} exceeds the total-degree bound "
-                f"{bounds.max_total}"
-            )
-        if value:
-            terms[(beta, n)] = value
-    gamma = GWSeries(bounds, terms)
-    return PotentialBundle(model, bounds, gamma)
+    terms = {
+        (beta, n): value
+        for (beta, n), value in table.entries.items()
+        if value and model.c1_degree(beta) <= max_c1
+    }
+    return PotentialBundle(model, bounds, GWSeries(bounds, terms))
 
 
 def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeries:
@@ -159,34 +151,3 @@ def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GW
     if 0 in (i, j, k, l) or i == k or j == l:
         return GWSeries.zero(bundle.bounds)
     return f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l)
-
-
-def g_bracket(table: GWTable, beta: MultiIndex, classes: Sequence[int],
-              q: int, r: int, s: int, t: int) -> int:
-    """Boundary-divisor intersection sum for marked points q,r | s,t.
-
-    Sums, over all two-sided partitions of the markings with q,r on the
-    first side and s,t on the second and over all effective splittings of
-    beta, the pairing-contracted product of the two side invariants.
-    Positions are 1-based into ``classes``.
-    """
-    n = len(classes)
-    positions = (q, r, s, t)
-    if len(set(positions)) != 4 or not all(1 <= x <= n for x in positions):
-        raise ValueError("q, r, s, t must be four distinct positions")
-    if n < 4:
-        raise ValueError("need at least four insertions")
-    pairs = table.model.g_inv_pairs()
-    total = Fraction(0)
-    for side_a, side_b in marking_splits(n, (q, r), (s, t)):
-        classes_a = [classes[x - 1] for x in sorted(side_a)]
-        classes_b = [classes[x - 1] for x in sorted(side_b)]
-        for beta1 in class_splits(beta):
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
-            for e, f, gef in pairs:
-                left = gw_invariant(table, beta1, classes_a + [e])
-                if left:
-                    total += gef * left * gw_invariant(table, beta2, classes_b + [f])
-    if total.denominator != 1:
-        raise ArithmeticError(f"boundary sum is not integral: {total}")
-    return int(total)

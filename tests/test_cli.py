@@ -229,18 +229,18 @@ def test_conflicting_model_flags_are_refused(capsys, tmp_path):
 
 
 def test_repeated_verify_builds_no_model(capsys, monkeypatch):
-    from gwcalc import model as model_mod
+    from gwcalc.model import FanoModel
 
     argv = ("verify", "--suite", "all", "--model", "p3", "--dmax", "6")
     assert run(capsys, *argv)[0] == 0
     builds = []
-    build = model_mod._build_model
+    validate = FanoModel.__post_init__
 
-    def counting(*args, **kwargs):
+    def counting(self):
         builds.append(1)
-        return build(*args, **kwargs)
+        validate(self)
 
-    monkeypatch.setattr(model_mod, "_build_model", counting)
+    monkeypatch.setattr(FanoModel, "__post_init__", counting)
     assert run(capsys, *argv)[0] == 0
     assert builds == []
 

@@ -309,14 +309,32 @@ def test_invariant_checks_every_index_first(plane_table, beta, classes):
         gw_invariant(plane_table, beta, classes)
 
 
-@pytest.mark.parametrize("beta, n", [((1,), (4,)), ((1, 0), (0, 2)), ((1,), (-2, 3)), ((-1,), (-4, 0))])
+@pytest.mark.parametrize(
+    "beta, n", [((1,), (4,)), ((1, 0), (0, 2)), ((1,), (-2, 3)), ((-1,), (-4, 0)), ((0,), (0, 0))]
+)
 def test_table_refuses_malformed_keys(p3, beta, n):
     # the dimension constraint alone pairs the key with the weights, so a key
-    # of the wrong length or with a negative entry could pass it
+    # of the wrong length or with a negative entry could pass it; so does a
+    # zero class, whose invariants are the classical triples, not counts
     table = GWTable(p3, 4)
     with pytest.raises(ValueError, match=re.escape(str((beta, n)))):
         table.add(beta, n, 5)
     assert not table.entries
+    with pytest.raises(ValueError, match=re.escape(str((beta, n)))):
+        GWTable(p3, 4, {(beta, n): 1})
+
+
+def test_zero_class_key_cannot_shift_the_classical_triples():
+    # y_2^3/3! at the zero class would add its value to <T2 T2 T2> = 1 on P^6
+    p6 = builtin_model("pr", 6)
+    table = standard_table(p6, 7)
+    key = ((0,), (3, 0, 0, 0, 0))
+    assert p6.dimension_matches(*key)
+    with pytest.raises(ValueError, match="non-zero class"):
+        table.add(*key, 4)
+    with pytest.raises(ValueError, match="non-zero class"):
+        GWTable(p6, 7, {**table.entries, key: 4})
+    assert build_potential(table, 7).phi(2, 2, 2).coefficient((0,), (0,) * 5) == 1
 
 
 def test_invariant_depth_error(p2):

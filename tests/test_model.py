@@ -1,10 +1,11 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcalc import (
@@ -16,6 +17,7 @@ from gwcalc import (
     save_model,
 )
 from gwcalc.model import _invert_exact
+from gwcalc.series import compositions
 from test_oracles import P1XP2, Q3_HYPERPLANE
 
 ALL_BUILTINS = ["p1", "p2", "p3", "q3", "p1xp1"]
@@ -170,13 +172,6 @@ def test_unit_law_violation_rejected(p2):
         model_from_dict(data)
 
 
-def test_bad_codim_order_rejected(p2):
-    data = p2.to_dict()
-    data["basis"][1], data["basis"][2] = data["basis"][2], data["basis"][1]
-    with pytest.raises(ModelError):
-        model_from_dict(data)
-
-
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -253,6 +248,14 @@ def test_equality_ignores_only_the_name(p2, p3, q3):
     assert renamed.name == "p3"
     assert renamed != p3
     assert p2 != builtin_model("p1xp1")
+    copy = replace(q3, name="x")
+    assert copy == q3 and hash(copy) == hash(q3) and copy.name == "x"
+
+
+def test_inverse_pairing_is_derived(q3):
+    with pytest.raises(ValueError, match="init=False"):
+        replace(q3, pairing_inverse=q3.pairing)
+    assert replace(q3, name="x").pairing_inverse == q3.pairing_inverse
 
 
 @pytest.mark.parametrize("triple", [(0, 0, 7), (-1, 0, 0), (0, 3, 0)])
@@ -316,3 +319,84 @@ def test_model_numbers_must_be_exact_integers(p2, path, field, value):
     _set(data, path, value)
     with pytest.raises(ModelError, match=f"^{field} must be an integer, got {value!r}$"):
         model_from_dict(data)
+
+
+def _append(key, entry):
+    return lambda data: data[key].append(entry)
+
+
+@pytest.mark.parametrize(
+    "name, edit, text",
+    [
+        ("p2", lambda d: d["basis"].insert(1, d["basis"].pop(2)),
+         "basis must be ordered unit, divisors, higher codimension"),
+        ("p2", lambda d: _set(d, ("basis", 2, "codim"), 0),
+         "exactly one basis class may have codimension 0"),
+        ("p2", _append("basis", {"name": "T3", "codim": 3}),
+         "basis codimension exceeds the dimension"),
+        ("q3", _append("basis", {"name": "T4", "codim": 2}),
+         "basis counts violate duality: 1 classes in codimension 1 but 2 in codimension 2"),
+        ("p2", lambda d: d["pairing"].pop(), "pairing matrix has the wrong shape"),
+        ("p2", lambda d: _set(d, ("pairing", 0, 0), 1),
+         "pairing must vanish off complementary codimension"),
+        ("p2", _append("triples", {"i": 2, "j": 0, "k": 0, "value": 2}),
+         "conflicting triple product at (0, 0, 2)"),
+        ("p2", _append("triples", {"i": 1, "j": 1, "k": 1, "value": 1}),
+         "triple (1, 1, 1) violates the codimension constraint"),
+        ("p2", lambda d: _set(d, ("effective", 0, "dual_divisor_index"), 2),
+         "dual divisor index 2 out of range"),
+        ("p1xp1", lambda d: _set(d, ("effective", 1, "dual_divisor_index"), 1),
+         "duplicate effective generator for divisor 1"),
+    ],
+    ids=[
+        "basis-order", "two-units", "codim-above-dimension", "duality", "pairing-shape",
+        "pairing-off-codimension", "conflicting-triple", "triple-codimension",
+        "dual-out-of-range", "duplicate-dual",
+    ],
+)
+def test_structural_fault_rejected(name, edit, text):
+    data = builtin_model(name).to_dict()
+    edit(data)
+    with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "changes, edit",
+    [
+        ({"seeds": (((1,), (5,), 1),)}, lambda d: _set(d, ("seeds",), [_seed([1], [5])])),
+        ({"seeds": (((0,), (0,), 1),)}, lambda d: _set(d, ("seeds",), [_seed([0], [0])])),
+        ({"pairing": ((0, 0, 1), (0, 2, 0), (1, 0, 0))}, lambda d: _set(d, ("pairing", 1, 1), 2)),
+    ],
+)
+def test_replace_validates_like_a_file(p2, changes, edit):
+    data = p2.to_dict()
+    edit(data)
+    with pytest.raises(ModelError) as from_file:
+        model_from_dict(data)
+    with pytest.raises(ModelError, match=f"^{re.escape(str(from_file.value))}$"):
+        replace(p2, **changes)
+
+
+def _level_keys(model, c1):
+    """The keys of c1-degree c1 that meet the dimension constraint; the
+    solver enumerates exactly these at each level c1 >= 1."""
+    return {
+        (beta, n)
+        for beta in compositions(model.effective_c1, c1)
+        for n in compositions(model.insertion_weights(), model.dimension + c1 - 3)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_every_model()), st.integers(0, 8), st.data())
+def test_key_problem_passes_exactly_the_solver_keys(model, c1, data):
+    # at c1 = 0 the zero class meets the dimension constraint on most models
+    assert all((model.key_problem(*key) is None) == (c1 >= 1) for key in _level_keys(model, c1))
+    p, q = model.divisor_count, len(model.nondivisor_indices)
+    entry = st.integers(min_value=-1, max_value=6)
+    beta = tuple(data.draw(st.lists(entry, max_size=p + 1)))
+    n = tuple(data.draw(st.lists(entry, max_size=q + 1)))
+    degree = model.c1_degree(beta)
+    expected = degree >= 1 and (beta, n) in _level_keys(model, degree)
+    assert (model.key_problem(beta, n) is None) == expected
