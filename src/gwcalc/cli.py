@@ -13,13 +13,12 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import boundary as boundary_mod
 from .engine import (
     GWTable,
     SolveError,
@@ -34,16 +33,12 @@ from .engine import (
 )
 from .model import FanoModel, builtin_model, load_model
 from .potential import PotentialBundle, build_potential, wdvv_residual
-from .qring import (
-    QuantumRing,
-    big_product,
-    grassmannian_lift,
-    grassmannian_presentation,
-    pr_presentation,
-    s_r_determinant,
-    small_ring,
-)
 from .series import GradedPoly
+
+# qring and boundary are imported by the handlers that use them, so a process
+# that only solves or recurses never loads them
+if TYPE_CHECKING:
+    from .qring import QuantumRing
 
 
 @dataclass
@@ -78,6 +73,8 @@ class Report:
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow([*self.key_names, "value"])
@@ -203,6 +200,8 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
 
 
 def _cmd_qring(args: argparse.Namespace) -> Report:
+    from .qring import small_ring
+
     model = _resolve_model(args)
     c1_max = 2 * model.dimension
     table = standard_table(model, c1_max)
@@ -248,6 +247,8 @@ def _wdvv_checks(bundle: PotentialBundle):
 
 
 def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
+    from .qring import big_product
+
     checks = []
     model = bundle.model
     rank = model.rank
@@ -304,6 +305,8 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
 
 
 def _pr_checks(ring: QuantumRing):
+    from .qring import pr_presentation
+
     checks = []
     r = ring.model.dimension
     rules_ok = True
@@ -334,6 +337,8 @@ def _pr_checks(ring: QuantumRing):
 
 
 def _grassmannian_checks(p: int, n: int):
+    from .qring import grassmannian_lift, grassmannian_presentation, s_r_determinant
+
     checks = []
     k = n - p
     try:
@@ -373,22 +378,26 @@ def _grassmannian_checks(p: int, n: int):
 def _boundary_equivalence_checks(table: GWTable, d_max: int):
     """The plane's boundary equivalence at each degree 2..d_max; each side
     is summed once."""
+    from .boundary import intersection_counts
+
     checks = []
     for d in range(2, d_max + 1):
-        counts = boundary_mod.intersection_counts(d, table)
+        counts = intersection_counts(d, table)
         lhs, rhs = counts.lhs.total, counts.rhs.total
         checks.append((f"boundary-equivalence-d{d}", lhs == rhs, f"lhs={lhs} rhs={rhs}"))
     return checks
 
 
 def _boundary_checks(d_max: int):
+    from .boundary import enumerate_boundary
+
     top = max(d_max, 2)
     checks = _boundary_equivalence_checks(nd_plane(top), top)
     p2 = builtin_model("p2")
     oracle_ok = True
     for n in range(0, 6):
         for degree in range(0, 3):
-            fast = {x.unordered() for x in boundary_mod.enumerate_boundary(n, (degree,))}
+            fast = {x.unordered() for x in enumerate_boundary(n, (degree,))}
             slow = _brute_force_boundary(p2, n, (degree,))
             if fast != slow:
                 oracle_ok = False
@@ -397,6 +406,8 @@ def _boundary_checks(d_max: int):
 
 
 def _brute_force_boundary(model, n, beta):
+    from .boundary import BoundaryDatum
+
     found = set()
     splits = [()]
     for entry in beta:
@@ -406,7 +417,7 @@ def _brute_force_boundary(model, n, beta):
         side_b = frozenset(range(1, n + 1)) - side_a
         for beta1 in splits:
             beta2 = tuple(x - y for x, y in zip(beta, beta1))
-            datum = boundary_mod.BoundaryDatum(side_a, side_b, beta1, beta2)
+            datum = BoundaryDatum(side_a, side_b, beta1, beta2)
             if datum.is_valid(n, beta):
                 found.add(datum.unordered())
     return found
@@ -438,6 +449,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite in {"wdvv", "all"}:
         report.checks.extend(_wdvv_checks(bundle))
     if rings:
+        from .qring import small_ring
+
         ring = small_ring(table)
         report.checks.extend(_ring_checks(bundle, ring))
         if 1 <= model.dimension <= 4 and model == builtin_model("pr", r=model.dimension):

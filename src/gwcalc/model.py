@@ -74,6 +74,10 @@ class FanoModel:
 
     def __post_init__(self) -> None:
         dimension, codims, pairing, rank = self.dimension, self.codims, self.pairing, self.rank
+        if len(self.basis_names) != rank:
+            raise ModelError(
+                f"basis needs one name per class: {len(self.basis_names)} names for {rank} classes"
+            )
         if rank == 0 or codims[0] != 0:
             raise ModelError("basis must start with the unit class of codimension 0")
         if codims.count(0) != 1:

@@ -347,18 +347,25 @@ def _append(key, entry):
          "dual divisor index 2 out of range"),
         ("p1xp1", lambda d: _set(d, ("effective", 1, "dual_divisor_index"), 1),
          "duplicate effective generator for divisor 1"),
+        # a file lists each class's name and codim together, so only the
+        # constructor can pass lists of different lengths
+        ("p2", {"basis_names": ("T0",)}, "basis needs one name per class: 1 names for 3 classes"),
     ],
     ids=[
         "basis-order", "two-units", "codim-above-dimension", "duality", "pairing-shape",
         "pairing-off-codimension", "conflicting-triple", "triple-codimension",
-        "dual-out-of-range", "duplicate-dual",
+        "dual-out-of-range", "duplicate-dual", "basis-names",
     ],
 )
 def test_structural_fault_rejected(name, edit, text):
-    data = builtin_model(name).to_dict()
-    edit(data)
+    model = builtin_model(name)
     with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
-        model_from_dict(data)
+        if isinstance(edit, dict):
+            replace(model, **edit)
+        else:
+            data = model.to_dict()
+            edit(data)
+            model_from_dict(data)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
 from gwcalc.cli import _wdvv_checks, main
 from gwcalc.engine import GWTable, standard_seeds, standard_table, wdvv_solve
 from gwcalc.potential import build_potential
+from gwcalc.qring import PresentationIdeal, grassmannian_presentation
+from gwcalc.series import GradedPoly
 
 # P^1 x P^2 in the basis 1, h1, h2, h1*h2, h2^2, pt.  The seeds: one line of
 # the P^1 ruling through a point, one line of a P^2 fiber through a point and
@@ -186,3 +188,30 @@ def test_projective_lines_match_pieri(r):
     lines = {n: value for (beta, n), value in table.entries.items() if beta == (1,)}
     assert lines and any(lines.values())
     assert lines == {n: _pieri_lines(r, n) for n in lines}
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_projective_lines_match_the_grassmannian_ring(r):
+    # lines in P^r are points of G(2, r + 1), and a codimension-a linear
+    # space meets the lines of the Schubert class sigma_(a - 1): the count is
+    # the degree of the product in H^*(G(2, r + 1)), the quantum ring at q = 0
+    model = builtin_model("pr", r=r)
+    table = wdvv_solve(model, standard_seeds(model), r + 1)
+    lines = {n: value for (beta, n), value in table.entries.items() if beta == (1,)}
+    quantum = grassmannian_presentation(2, r + 1)
+    # drop q from the relations, not from quantum normal forms: in degree 6
+    # of G(2, 5) sigma_1 q is no basis monomial, so its normal form mixes
+    # sigma_2^3 and sigma_3^2 and the q-free part is not the classical one
+    q = len(quantum.degrees) - 1
+    ring = PresentationIdeal(
+        quantum.degrees, tuple(relation.set_var_to_zero(q) for relation in quantum.relations)
+    )
+    point = ring.normal_form(ring.variable(r - 2) * ring.variable(r - 2))
+    assert not point.is_zero()
+    assert lines and any(lines.values())
+    for n, value in lines.items():
+        product = GradedPoly.constant(ring.degrees, 1)
+        for a, count in enumerate(n, start=2):
+            for _ in range(count):
+                product = product * ring.variable(a - 2)
+        assert ring.normal_form(product) == point.scale(value), n

@@ -25,7 +25,7 @@ from gwcalc import (
     standard_table,
     wdvv_residual,
 )
-from gwcalc import cli
+from gwcalc import cli, qring
 from gwcalc.cli import _ring_checks, _wdvv_checks
 from gwcalc.series import GWSeries, GradedPoly
 
@@ -271,13 +271,14 @@ def test_verify_solves_one_table(monkeypatch, d_max):
 
 def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential, p3_ring):
     calls = []
-    product = cli.big_product
+    product = qring.big_product
 
     def counting(bundle, i, j):
         calls.append((i, j))
         return product(bundle, i, j)
 
-    monkeypatch.setattr(cli, "big_product", counting)
+    # _ring_checks imports big_product from qring when it runs
+    monkeypatch.setattr(qring, "big_product", counting)
     checks = _ring_checks(_uncached(p3_potential), p3_ring)
     assert all(ok for _, ok, _ in checks)
     rank = p3_potential.model.rank
