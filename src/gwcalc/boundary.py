@@ -17,22 +17,29 @@ pair every class split with its mirror; the items are built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .engine import GWTable, gw_invariant
-from .series import MultiIndex, binomial_row, class_splits
+from .series import MultiIndex, binomial_row, class_splits, refuse_assignment
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class BoundaryDatum:
     """One boundary divisor: marking sides a | b and class parts beta1, beta2."""
 
-    a: frozenset[int]
-    b: frozenset[int]
-    beta1: MultiIndex
-    beta2: MultiIndex
+    __slots__ = ("a", "b", "beta1", "beta2")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(
+        self, a: frozenset[int], b: frozenset[int], beta1: MultiIndex, beta2: MultiIndex
+    ) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "beta1", beta1)
+        _set(self, "beta2", beta2)
 
     def is_valid(self, n: int, beta: MultiIndex) -> bool:
         if self.a | self.b != frozenset(range(1, n + 1)) or self.a & self.b:
@@ -129,7 +136,6 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CountSide:
     """One side of the boundary equivalence cut with the incidence curve.
 
@@ -139,12 +145,20 @@ class CountSide:
     ``power`` p of the weight d1^p d2^(4-p), with C(3d-4, 3d1+p-4) partitions.
     """
 
-    label: str
-    total: int
-    contracted: tuple[tuple[int, int, int, int, int], ...]
-    counts: tuple[int, ...] = field(repr=False)
-    row: tuple[int, ...] = field(repr=False)
-    power: int
+    __slots__ = ("label", "total", "contracted", "counts", "row", "power")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(
+        self,
+        label: str,
+        total: int,
+        contracted: tuple[tuple[int, int, int, int, int], ...],
+        counts: tuple[int, ...],
+        row: tuple[int, ...],
+        power: int,
+    ) -> None:
+        for attr, value in zip(self.__slots__, (label, total, contracted, counts, row, power)):
+            _set(self, attr, value)
 
     @property
     def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -164,12 +178,17 @@ class CountSide:
         )
 
 
-@dataclass(frozen=True)
 class IntersectionCounts:
-    degree: int
-    markings: int
-    lhs: CountSide
-    rhs: CountSide
+    """Both sides of the plane's boundary equivalence at one degree."""
+
+    __slots__ = ("degree", "markings", "lhs", "rhs")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, degree: int, markings: int, lhs: CountSide, rhs: CountSide) -> None:
+        _set(self, "degree", degree)
+        _set(self, "markings", markings)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def balanced(self) -> bool:

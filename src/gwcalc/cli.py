@@ -16,7 +16,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .engine import (
@@ -41,16 +40,21 @@ if TYPE_CHECKING:
     from .qring import QuantumRing
 
 
-@dataclass
 class Report:
     """Uniform result structure rendered by every output format."""
 
-    model: str
-    command: str
-    bounds: dict
-    key_names: list[str]
-    rows: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    def __init__(
+        self,
+        model: str,
+        command: str,
+        bounds: dict,
+        key_names: list[str],
+        rows: list[tuple[tuple[int, ...], int]] | None = None,
+        checks: list[tuple[str, bool, str]] | None = None,
+    ) -> None:
+        self.model, self.command, self.bounds, self.key_names = model, command, bounds, key_names
+        self.rows = [] if rows is None else rows
+        self.checks = [] if checks is None else checks
 
     @property
     def all_passed(self) -> bool:

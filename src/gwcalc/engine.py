@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -41,7 +40,6 @@ class SolveError(RuntimeError):
     """The recursion or equation system could not be solved consistently."""
 
 
-@dataclass
 class GWTable:
     """Exact curve-count table for one model.
 
@@ -51,13 +49,12 @@ class GWTable:
     ``add``, so every key passes ``FanoModel.key_problem``.
     """
 
-    model: FanoModel
-    c1_max: int
-    entries: dict[TableKey, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        given, self.entries = self.entries, {}
-        for (beta, n), value in given.items():
+    def __init__(
+        self, model: FanoModel, c1_max: int, entries: Mapping[TableKey, int] | None = None
+    ) -> None:
+        self.model, self.c1_max = model, c1_max
+        self.entries: dict[TableKey, int] = {}
+        for (beta, n), value in (entries or {}).items():
             self.add(beta, n, value)
 
     def add(self, beta: MultiIndex, n: MultiIndex, value: int) -> None:
@@ -468,10 +465,13 @@ def standard_table(model: FanoModel, c1_max: int) -> GWTable:
         if model == builtin_model(space):
             d_max = max(1, c1_max // model.effective_c1[0])
             table = nd_plane(d_max) if space == "p2" else fano3_solve(space, d_max)
-            entries = {
-                key: value
+            # the recursion's model equals this one by data, so every key it
+            # added already passed this model's key_problem
+            result = GWTable(model, c1_max)
+            result.entries.update(
+                (key, value)
                 for key, value in table.entries.items()
                 if model.c1_degree(key[0]) <= c1_max
-            }
-            return GWTable(model, c1_max, entries)
+            )
+            return result
     return wdvv_solve(model, standard_seeds(model), c1_max)

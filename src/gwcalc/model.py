@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .series import MultiIndex, SeriesBounds, compositions, row_reduce
+from .series import MultiIndex, SeriesBounds, compositions, refuse_assignment, row_reduce
 
 
 class ModelError(ValueError):
@@ -44,39 +43,48 @@ def _invert_exact(matrix: list[list[int]]) -> list[list[int | Fraction]]:
     return [[int(v) if v.denominator == 1 else v for v in row] for row in inverse]
 
 
-@dataclass(frozen=True)
+# The constructor's parameters, in order; ``FanoModel.replace`` reads them back.
+_FIELDS = (
+    "name", "dimension", "basis_names", "codims", "pairing", "triples", "effective_c1", "seeds"
+)
+
+
 class FanoModel:
     """Intersection-theoretic data of a space: an immutable, hashable value
     whose ``triples`` is a read-only view, left out of the hash.  The name is
     only a label: equality and hash read the data alone.
 
-    Every construction, ``dataclasses.replace`` included, checks every
-    structural invariant and raises :class:`ModelError` naming the first one
-    broken.  ``triples`` may key a product by its indices in any order; it is
-    stored by the sorted index triple, zeros dropped.  Generator i of
-    ``effective_c1`` is dual to the divisor T_{i+1}.  ``seeds`` lists
-    (beta, n, value) counts in the table-key convention and is stored sorted.
-    The exact inverse pairing is derived, never given.
+    Every construction, ``replace`` included, checks every structural
+    invariant and raises :class:`ModelError` naming the first one broken.
+    ``triples`` may key a product by its indices in any order; it is stored
+    by the sorted index triple, zeros dropped.  Generator i of
+    ``effective_c1`` is dual to the divisor T_{i+1}; each entry is the
+    generator's anticanonical degree.  ``seeds`` lists (beta, n, value)
+    counts in the table-key convention and is stored sorted.  The exact
+    inverse pairing is derived, never given.
     """
 
-    name: str = field(compare=False)
-    dimension: int
-    basis_names: tuple[str, ...]
-    codims: tuple[int, ...]
-    pairing: tuple[tuple[int, ...], ...]
-    triples: Mapping[tuple[int, int, int], int] = field(hash=False)
-    effective_c1: tuple[int, ...]  # anticanonical degree of each generator
-    seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = ()
-    pairing_inverse: tuple[tuple[int | Fraction, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _g_inv_pairs: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = (*_FIELDS, "pairing_inverse", "_g_inv_pairs")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self) -> None:
-        dimension, codims, pairing, rank = self.dimension, self.codims, self.pairing, self.rank
-        if len(self.basis_names) != rank:
+    def __init__(
+        self,
+        name: str,
+        dimension: int,
+        basis_names: tuple[str, ...],
+        codims: tuple[int, ...],
+        pairing: tuple[tuple[int, ...], ...],
+        triples: Mapping[tuple[int, int, int], int],
+        effective_c1: tuple[int, ...],
+        seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = (),
+    ) -> None:
+        given = (name, dimension, basis_names, codims, pairing, triples, effective_c1, seeds)
+        for attr, value in zip(_FIELDS, given):
+            object.__setattr__(self, attr, value)
+        rank = self.rank
+        if len(basis_names) != rank:
             raise ModelError(
-                f"basis needs one name per class: {len(self.basis_names)} names for {rank} classes"
+                f"basis needs one name per class: {len(basis_names)} names for {rank} classes"
             )
         if rank == 0 or codims[0] != 0:
             raise ModelError("basis must start with the unit class of codimension 0")
@@ -105,35 +113,35 @@ class FanoModel:
                     raise ModelError("pairing must vanish off complementary codimension")
         inverse = tuple(map(tuple, _invert_exact(pairing)))
 
-        triples: dict[tuple[int, int, int], int] = {}
-        for (i, j, k), value in self.triples.items():
+        stored: dict[tuple[int, int, int], int] = {}
+        for (i, j, k), value in triples.items():
             if not all(0 <= x < rank for x in (i, j, k)):
                 raise ModelError(f"triple {(i, j, k)} has an index outside 0..{rank - 1}")
             if value == 0:
                 continue
             key = tuple(sorted((i, j, k)))
-            if triples.setdefault(key, value) != value:
+            if stored.setdefault(key, value) != value:
                 raise ModelError(f"conflicting triple product at {key}")
             if codims[i] + codims[j] + codims[k] != dimension:
                 raise ModelError(f"triple {key} violates the codimension constraint")
         for j in range(rank):
             for k in range(rank):
-                if triples.get(tuple(sorted((0, j, k))), 0) != pairing[j][k]:
+                if stored.get(tuple(sorted((0, j, k))), 0) != pairing[j][k]:
                     raise ModelError(
                         f"unit law fails: triple (0,{j},{k}) must equal the pairing"
                     )
 
-        if len(self.effective_c1) != p:
+        if len(effective_c1) != p:
             raise ModelError("need exactly one effective generator per divisor class")
-        for dual, c1 in enumerate(self.effective_c1, 1):
+        for dual, c1 in enumerate(effective_c1, 1):
             if c1 < 2:
                 raise ModelError(
                     f"effective generator dual to T_{dual} has anticanonical degree "
                     f"{c1}; non-constant rational curves force at least 2"
                 )
 
-        keys = [(beta, n) for beta, n, _ in self.seeds]
-        for beta, n, value in self.seeds:
+        keys = [(beta, n) for beta, n, _ in seeds]
+        for beta, n, value in seeds:
             key = (beta, n)
             if problem := self.key_problem(*key):
                 raise ModelError(f"seed {key} {problem}")
@@ -143,10 +151,31 @@ class FanoModel:
                 raise ModelError(f"seed {key} appears twice")
 
         pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
-        object.__setattr__(self, "triples", MappingProxyType(triples))
-        object.__setattr__(self, "seeds", tuple(sorted(self.seeds)))
+        object.__setattr__(self, "triples", MappingProxyType(stored))
+        object.__setattr__(self, "seeds", tuple(sorted(seeds)))
         object.__setattr__(self, "pairing_inverse", inverse)
         object.__setattr__(self, "_g_inv_pairs", pairs)
+
+    def replace(self, **changes: object) -> FanoModel:
+        """A copy with the given constructor arguments changed, validated as
+        any construction is."""
+        return FanoModel(**{**{attr: getattr(self, attr) for attr in _FIELDS}, **changes})
+
+    def _data(self) -> tuple:
+        """What the hash reads: everything but the name, the triples and the
+        derived inverse pairing.  Equality reads the triples too."""
+        return (
+            self.dimension, self.basis_names, self.codims, self.pairing, self.effective_c1,
+            self.seeds,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FanoModel:
+            return NotImplemented
+        return self._data() == other._data() and self.triples == other.triples
+
+    def __hash__(self) -> int:
+        return hash(self._data())
 
     # -- basic structure ----------------------------------------------------
 

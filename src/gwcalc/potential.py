@@ -22,7 +22,6 @@ every stored key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .model import FanoModel
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
 Expansion = dict[int, GWSeries]
 
 
-@dataclass
 class PotentialBundle:
     """A model's truncated potential plus caches of what is derived from it.
 
@@ -48,12 +46,11 @@ class PotentialBundle:
     are shared; ``qring.big_product`` hands out copies.
     """
 
-    model: FanoModel
-    bounds: SeriesBounds
-    gamma: GWSeries
-    _phi: dict[tuple[int, int, int], GWSeries] = field(default_factory=dict)
-    _products: dict[tuple[int, int], Expansion] = field(default_factory=dict)
-    _brackets: dict[tuple[int, int, int, int], GWSeries] = field(default_factory=dict)
+    def __init__(self, model: FanoModel, bounds: SeriesBounds, gamma: GWSeries) -> None:
+        self.model, self.bounds, self.gamma = model, bounds, gamma
+        self._phi: dict[tuple[int, int, int], GWSeries] = {}
+        self._products: dict[tuple[int, int], Expansion] = {}
+        self._brackets: dict[tuple[int, int, int, int], GWSeries] = {}
 
     def phi(self, i: int, j: int, k: int) -> GWSeries:
         """Third partial of the full potential, classical part included.

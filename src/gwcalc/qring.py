@@ -19,7 +19,6 @@ every monomial in a chosen monomial basis of the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import GWTable
@@ -52,7 +51,6 @@ def big_associator(bundle: PotentialBundle, i: int, j: int, k: int) -> Expansion
     return bundle.raise_index([wdvv_residual(bundle, i, j, k, l) for l in range(rank)])
 
 
-@dataclass
 class QuantumRing:
     """Small quantum ring: structure constants over the model's basis.
 
@@ -61,8 +59,10 @@ class QuantumRing:
     i <= j; the product is symmetric.
     """
 
-    model: FanoModel
-    constants: dict[tuple[int, int], dict[int, GradedPoly]]
+    def __init__(
+        self, model: FanoModel, constants: dict[tuple[int, int], dict[int, GradedPoly]]
+    ) -> None:
+        self.model, self.constants = model, constants
 
     @property
     def q_degrees(self) -> tuple[int, ...]:
@@ -146,28 +146,31 @@ def small_ring(table: GWTable) -> QuantumRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PresentationIdeal:
     """Graded polynomial relations with exact normal-form reduction.
 
     The quotient's graded pieces are computed degree by degree: the span of
     monomial multiples of the relations is eliminated over the rationals and
     every monomial is rewritten in the surviving monomial basis.  Reductions
-    of integer polynomials are required to stay integral.
+    of integer polynomials are required to stay integral.  Two ideals are
+    equal when their degrees and relations are, whatever each has reduced.
     """
 
-    degrees: tuple[int, ...]
-    relations: tuple[GradedPoly, ...]
-    _cache: dict[int, tuple[list[MultiIndex], dict[MultiIndex, dict[MultiIndex, Fraction]]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for rel in self.relations:
-            if rel.degrees != self.degrees:
+    def __init__(self, degrees: tuple[int, ...], relations: tuple[GradedPoly, ...]) -> None:
+        for rel in relations:
+            if rel.degrees != degrees:
                 raise ValueError("relation lives in a different graded ring")
             if rel.homogeneous_degree() is None:
                 raise ValueError(f"relation {rel} is not homogeneous")
+        self.degrees, self.relations = degrees, relations
+        self._cache: dict[
+            int, tuple[list[MultiIndex], dict[MultiIndex, dict[MultiIndex, Fraction]]]
+        ] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PresentationIdeal:
+            return NotImplemented
+        return self.degrees == other.degrees and self.relations == other.relations
 
     def variable(self, index: int) -> GradedPoly:
         return GradedPoly.variable(self.degrees, index)

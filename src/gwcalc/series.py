@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
@@ -105,9 +104,18 @@ def compositions(weights: tuple[int, ...], target: int) -> Iterator[MultiIndex]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
+def refuse_assignment(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable types: every
+    attribute is set once, through ``object.__setattr__``, in ``__init__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+_set = object.__setattr__
+
+
 class SeriesBounds:
-    """Ambient data shared by a family of divided-power series.
+    """Ambient data shared by a family of divided-power series; an immutable,
+    hashable value.
 
     beta_weights: positive c1-weight of each curve-class coordinate.
     max_c1: hard cap on the weighted beta degree of stored keys.
@@ -115,16 +123,31 @@ class SeriesBounds:
     max_total: hard cap on the total degree of non-divisor exponents.
     """
 
-    beta_weights: tuple[int, ...]
-    max_c1: int
-    n_vars: int
-    max_total: int
+    __slots__ = ("beta_weights", "max_c1", "n_vars", "max_total")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self) -> None:
-        if any(w <= 0 for w in self.beta_weights):
+    def __init__(
+        self, beta_weights: tuple[int, ...], max_c1: int, n_vars: int, max_total: int
+    ) -> None:
+        if any(w <= 0 for w in beta_weights):
             raise ValueError("beta weights must be positive")
-        if self.max_c1 < 0 or self.max_total < 0:
+        if max_c1 < 0 or max_total < 0:
             raise ValueError("truncation bounds must be non-negative")
+        _set(self, "beta_weights", beta_weights)
+        _set(self, "max_c1", max_c1)
+        _set(self, "n_vars", n_vars)
+        _set(self, "max_total", max_total)
+
+    def _data(self) -> tuple:
+        return self.beta_weights, self.max_c1, self.n_vars, self.max_total
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SeriesBounds:
+            return NotImplemented
+        return self is other or self._data() == other._data()
+
+    def __hash__(self) -> int:
+        return hash(self._data())
 
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(map(mul, self.beta_weights, beta))
@@ -142,17 +165,28 @@ class SeriesBounds:
             raise ValueError("series keys must be non-negative")
 
 
-@dataclass(frozen=True)
 class GWSeries:
     """Truncated divided-power series with exact ``int | Fraction`` coefficients.
 
-    Immutable after construction; zero coefficients are never stored.  The
-    constructors take only ints and Fractions, and every operation keeps an
-    int series int, so a Fraction appears only where one was put in.
+    Immutable after construction, compared by value and unhashable; zero
+    coefficients are never stored.  The constructors take only ints and
+    Fractions, and every operation keeps an int series int, so a Fraction
+    appears only where one was put in.
     """
 
-    bounds: SeriesBounds
-    coeffs: Mapping[Key, Coefficient] = field(default_factory=dict)
+    __slots__ = ("bounds", "coeffs")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(
+        self, bounds: SeriesBounds, coeffs: Mapping[Key, Coefficient] | None = None
+    ) -> None:
+        _set(self, "bounds", bounds)
+        _set(self, "coeffs", {} if coeffs is None else coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GWSeries:
+            return NotImplemented
+        return self.bounds == other.bounds and self.coeffs == other.coeffs
 
     # -- constructors ---------------------------------------------------
 
@@ -316,7 +350,9 @@ def row_reduce(
     row's pivot is its smallest nonzero column.  Returns ``(pivots, origin)``:
     ``pivots`` maps each pivot column to its reduced row (1 at the pivot, 0 in
     every other pivot column), and ``origin`` maps each pivot column to the
-    position of the input row that introduced it.
+    position of the input row that introduced it.  A row is scaled by a
+    Fraction only when its lead is not 1 or -1, so integer rows whose leads
+    are all units reduce to integer rows.
     """
     pivots: dict[int, Row] = {}
     origin: dict[int, int] = {}
@@ -329,8 +365,10 @@ def row_reduce(
         if not row:
             continue
         lead = min(row)
-        inv = Fraction(1, row[lead])
-        row = {col: value * inv for col, value in row.items()}
+        scale = row[lead]
+        if scale != 1:
+            inv = scale if scale == -1 else Fraction(1, scale)
+            row = {col: value * inv for col, value in row.items()}
         for other in pivots.values():
             if lead in other:
                 _subtract(other, other[lead], row)
@@ -354,23 +392,33 @@ def _subtract(row: Row, factor: Coefficient, other: Row) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedPoly:
-    """Sparse polynomial over the integers with graded variables.
+    """Sparse polynomial over the integers with graded variables; immutable,
+    compared by value and unhashable.
 
     ``degrees`` assigns each variable a positive integer degree; variables
     print as x0, x1, ...  Zero terms are never stored.
     """
 
-    degrees: tuple[int, ...]
-    coeffs: Mapping[MultiIndex, int] = field(default_factory=dict)
+    __slots__ = ("degrees", "coeffs")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self) -> None:
-        for mono, value in self.coeffs.items():
-            if len(mono) != len(self.degrees):
+    def __init__(
+        self, degrees: tuple[int, ...], coeffs: Mapping[MultiIndex, int] | None = None
+    ) -> None:
+        coeffs = {} if coeffs is None else coeffs
+        for mono, value in coeffs.items():
+            if len(mono) != len(degrees):
                 raise ValueError("monomial arity mismatch")
             if value == 0:
                 raise ValueError("zero coefficients must not be stored")
+        _set(self, "degrees", degrees)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GradedPoly:
+            return NotImplemented
+        return self.degrees == other.degrees and self.coeffs == other.coeffs
 
     @classmethod
     def build(

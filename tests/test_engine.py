@@ -1,7 +1,7 @@
 import itertools
 import random
 import re
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from gwcalc import (
     wdvv_count,
     wdvv_solve,
 )
-from gwcalc import engine, model_from_dict
+from gwcalc import FanoModel, engine, model_from_dict
 from gwcalc.potential import build_potential, wdvv_residual
 from gwcalc.series import GWSeries, binomial_z, compositions
 
@@ -613,7 +613,7 @@ def test_standard_seeds_large_projective_spaces(r):
 
 def test_standard_seeds_need_model_seeds(p2):
     with pytest.raises(ModelError, match="carries no seeds"):
-        standard_seeds(replace(p2, seeds=()))
+        standard_seeds(p2.replace(seeds=()))
 
 
 _SPECS = [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("pr", 4)]
@@ -631,7 +631,25 @@ def builtin_tables():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_SPECS), st.text(max_size=8))
 def test_standard_table_ignores_the_name(builtin_tables, spec, name):
-    renamed = replace(builtin_model(*spec), name=name)
+    renamed = builtin_model(*spec).replace(name=name)
     table = standard_table(renamed, 2 * renamed.dimension)
     assert table.model is renamed
     assert table.entries == builtin_tables[spec]
+
+
+@pytest.mark.parametrize("space", ["p2", "p3", "q3"])
+def test_standard_table_checks_each_recursion_key_once(monkeypatch, space):
+    # the recursion's table lands on an equal model: its keys are not re-checked
+    checked = Counter()
+    key_problem = FanoModel.key_problem
+
+    def counting(self, beta, n):
+        checked[(beta, n)] += 1
+        return key_problem(self, beta, n)
+
+    renamed = builtin_model(space).replace(name="renamed")
+    monkeypatch.setattr(FanoModel, "key_problem", counting)
+    table = standard_table(renamed, 12)
+    assert table.model is renamed and table.entries
+    assert set(table.entries) <= set(checked)
+    assert set(checked.values()) == {1}

@@ -1,5 +1,6 @@
 """What importing gwcalc loads: the package root resolves its names on first
-use, and each subcommand loads only the modules it runs."""
+use, each subcommand loads only the modules it runs, and none loads
+``dataclasses`` or ``inspect``."""
 
 import importlib
 import json
@@ -16,14 +17,23 @@ SRC = os.path.dirname(os.path.dirname(gwcalc.__file__))
 # every gwcalc command needs these; qring and boundary only some
 CORE = {"gwcalc.cli", "gwcalc.engine", "gwcalc.model", "gwcalc.potential", "gwcalc.series"}
 
+# the gwcalc modules a step loads, and whether it loads dataclasses or the
+# inspect module it pulls in; a module counts only if it arrives after what the
+# interpreter loaded before gwcalc, such as a site hook's imports
 LOADED = """
 import io, json, sys
 from contextlib import redirect_stdout
+before = set(sys.modules)
 import gwcalc.cli
 argv = json.loads(sys.argv[1])
 with redirect_stdout(io.StringIO()):
     code = gwcalc.cli.main(argv) if argv else 0
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("gwcalc."))]))
+new = set(sys.modules) - before
+print(json.dumps([
+    code,
+    sorted(name for name in new if name.startswith("gwcalc.")),
+    sorted(new & {"dataclasses", "inspect"}),
+]))
 """
 
 
@@ -50,9 +60,10 @@ def _fresh(code, *args):
     ids=["import", "solve", "fano3", "nd-check", "verify-p3", "verify-q3"],
 )
 def test_each_step_loads_only_the_modules_it_runs(argv, extra):
-    code, loaded = _fresh(LOADED, json.dumps(argv))
+    code, loaded, heavy = _fresh(LOADED, json.dumps(argv))
     assert code == 0
     assert set(loaded) == CORE | extra
+    assert heavy == []
 
 
 def test_importing_the_root_loads_no_submodule():

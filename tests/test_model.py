@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcalc import (
+    BoundaryDatum,
+    GWSeries,
+    GradedPoly,
     ModelError,
+    SeriesBounds,
     builtin_model,
     expected_dimension,
+    intersection_counts,
     load_model,
     model_from_dict,
+    nd_plane,
     save_model,
 )
 from gwcalc.model import _invert_exact
@@ -248,14 +253,14 @@ def test_equality_ignores_only_the_name(p2, p3, q3):
     assert renamed.name == "p3"
     assert renamed != p3
     assert p2 != builtin_model("p1xp1")
-    copy = replace(q3, name="x")
+    copy = q3.replace(name="x")
     assert copy == q3 and hash(copy) == hash(q3) and copy.name == "x"
 
 
 def test_inverse_pairing_is_derived(q3):
-    with pytest.raises(ValueError, match="init=False"):
-        replace(q3, pairing_inverse=q3.pairing)
-    assert replace(q3, name="x").pairing_inverse == q3.pairing_inverse
+    with pytest.raises(TypeError, match="unexpected keyword argument 'pairing_inverse'"):
+        q3.replace(pairing_inverse=q3.pairing)
+    assert q3.replace(name="x").pairing_inverse == q3.pairing_inverse
 
 
 @pytest.mark.parametrize("triple", [(0, 0, 7), (-1, 0, 0), (0, 3, 0)])
@@ -361,7 +366,7 @@ def test_structural_fault_rejected(name, edit, text):
     model = builtin_model(name)
     with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
         if isinstance(edit, dict):
-            replace(model, **edit)
+            model.replace(**edit)
         else:
             data = model.to_dict()
             edit(data)
@@ -382,7 +387,7 @@ def test_replace_validates_like_a_file(p2, changes, edit):
     with pytest.raises(ModelError) as from_file:
         model_from_dict(data)
     with pytest.raises(ModelError, match=f"^{re.escape(str(from_file.value))}$"):
-        replace(p2, **changes)
+        p2.replace(**changes)
 
 
 def _level_keys(model, c1):
@@ -407,3 +412,36 @@ def test_key_problem_passes_exactly_the_solver_keys(model, c1, data):
     degree = model.c1_degree(beta)
     expected = degree >= 1 and (beta, n) in _level_keys(model, degree)
     assert (model.key_problem(beta, n) is None) == expected
+
+
+def test_replace_copies_through_the_constructor():
+    for model in _every_model():
+        copy = model.replace(name="renamed")
+        assert copy == model and hash(copy) == hash(model) and copy is not model
+        assert copy.name == "renamed" and copy.pairing_inverse == model.pairing_inverse
+        assert model.replace(seeds=()) != model
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_model("p2"),
+        lambda: SeriesBounds((3,), 9, 1, 8),
+        lambda: GWSeries(SeriesBounds((3,), 9, 1, 8)),
+        lambda: GradedPoly((1,)),
+        lambda: BoundaryDatum(frozenset({1}), frozenset(), (1,), (1,)),
+        lambda: intersection_counts(2, nd_plane(2)).lhs,
+        lambda: intersection_counts(2, nd_plane(2)),
+    ],
+    ids=[
+        "FanoModel", "SeriesBounds", "GWSeries", "GradedPoly", "BoundaryDatum", "CountSide",
+        "IntersectionCounts",
+    ],
+)
+def test_value_types_refuse_assignment(build):
+    value = build()
+    for attr in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, attr)
