@@ -21,25 +21,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .engine import GWTable, gw_invariant
-from .series import MultiIndex, binomial_row, class_splits, refuse_assignment
-
-
-_set = object.__setattr__
+from .series import MultiIndex, binomial_row, class_splits, refuse_assignment, value_eq, value_hash
 
 
 class BoundaryDatum:
     """One boundary divisor: marking sides a | b and class parts beta1, beta2."""
 
-    __slots__ = ("a", "b", "beta1", "beta2")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__, __hash__ = value_eq, value_hash
 
     def __init__(
         self, a: frozenset[int], b: frozenset[int], beta1: MultiIndex, beta2: MultiIndex
     ) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "beta1", beta1)
-        _set(self, "beta2", beta2)
+        self.__dict__.update(a=a, b=b, beta1=beta1, beta2=beta2)
 
     def is_valid(self, n: int, beta: MultiIndex) -> bool:
         if self.a | self.b != frozenset(range(1, n + 1)) or self.a & self.b:
@@ -145,8 +139,8 @@ class CountSide:
     ``power`` p of the weight d1^p d2^(4-p), with C(3d-4, 3d1+p-4) partitions.
     """
 
-    __slots__ = ("label", "total", "contracted", "counts", "row", "power")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__, __hash__ = value_eq, value_hash
 
     def __init__(
         self,
@@ -157,8 +151,9 @@ class CountSide:
         row: tuple[int, ...],
         power: int,
     ) -> None:
-        for attr, value in zip(self.__slots__, (label, total, contracted, counts, row, power)):
-            _set(self, attr, value)
+        self.__dict__.update(
+            label=label, total=total, contracted=contracted, counts=counts, row=row, power=power
+        )
 
     @property
     def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -181,14 +176,11 @@ class CountSide:
 class IntersectionCounts:
     """Both sides of the plane's boundary equivalence at one degree."""
 
-    __slots__ = ("degree", "markings", "lhs", "rhs")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__, __hash__ = value_eq, value_hash
 
     def __init__(self, degree: int, markings: int, lhs: CountSide, rhs: CountSide) -> None:
-        _set(self, "degree", degree)
-        _set(self, "markings", markings)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        self.__dict__.update(degree=degree, markings=markings, lhs=lhs, rhs=rhs)
 
     @property
     def balanced(self) -> bool:

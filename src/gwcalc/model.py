@@ -64,7 +64,6 @@ class FanoModel:
     inverse pairing is derived, never given.
     """
 
-    __slots__ = (*_FIELDS, "pairing_inverse", "_g_inv_pairs")
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(
@@ -79,8 +78,7 @@ class FanoModel:
         seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = (),
     ) -> None:
         given = (name, dimension, basis_names, codims, pairing, triples, effective_c1, seeds)
-        for attr, value in zip(_FIELDS, given):
-            object.__setattr__(self, attr, value)
+        self.__dict__.update(zip(_FIELDS, given))
         rank = self.rank
         if len(basis_names) != rank:
             raise ModelError(
@@ -151,10 +149,10 @@ class FanoModel:
                 raise ModelError(f"seed {key} appears twice")
 
         pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
-        object.__setattr__(self, "triples", MappingProxyType(stored))
-        object.__setattr__(self, "seeds", tuple(sorted(seeds)))
-        object.__setattr__(self, "pairing_inverse", inverse)
-        object.__setattr__(self, "_g_inv_pairs", pairs)
+        self.__dict__.update(
+            triples=MappingProxyType(stored), seeds=tuple(sorted(seeds)),
+            pairing_inverse=inverse, _g_inv_pairs=pairs,
+        )
 
     def replace(self, **changes: object) -> FanoModel:
         """A copy with the given constructor arguments changed, validated as

@@ -105,12 +105,21 @@ def compositions(weights: tuple[int, ...], target: int) -> Iterator[MultiIndex]:
 
 
 def refuse_assignment(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable types: every
-    attribute is set once, through ``object.__setattr__``, in ``__init__``."""
+    """``__setattr__`` and ``__delattr__`` of the immutable types: ``__init__``
+    fills the instance ``__dict__`` once, and nothing changes it after."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
 
-_set = object.__setattr__
+def value_eq(self, other: object) -> bool:
+    """``__eq__`` of the value types: the same type with equal attributes."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return vars(self) == vars(other)
+
+
+def value_hash(self) -> int:
+    """``__hash__`` of the hashable value types, read off the attributes."""
+    return hash(tuple(vars(self).values()))
 
 
 class SeriesBounds:
@@ -123,8 +132,8 @@ class SeriesBounds:
     max_total: hard cap on the total degree of non-divisor exponents.
     """
 
-    __slots__ = ("beta_weights", "max_c1", "n_vars", "max_total")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__, __hash__ = value_eq, value_hash
 
     def __init__(
         self, beta_weights: tuple[int, ...], max_c1: int, n_vars: int, max_total: int
@@ -133,21 +142,9 @@ class SeriesBounds:
             raise ValueError("beta weights must be positive")
         if max_c1 < 0 or max_total < 0:
             raise ValueError("truncation bounds must be non-negative")
-        _set(self, "beta_weights", beta_weights)
-        _set(self, "max_c1", max_c1)
-        _set(self, "n_vars", n_vars)
-        _set(self, "max_total", max_total)
-
-    def _data(self) -> tuple:
-        return self.beta_weights, self.max_c1, self.n_vars, self.max_total
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SeriesBounds:
-            return NotImplemented
-        return self is other or self._data() == other._data()
-
-    def __hash__(self) -> int:
-        return hash(self._data())
+        self.__dict__.update(
+            beta_weights=beta_weights, max_c1=max_c1, n_vars=n_vars, max_total=max_total
+        )
 
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(map(mul, self.beta_weights, beta))
@@ -174,19 +171,13 @@ class GWSeries:
     appears only where one was put in.
     """
 
-    __slots__ = ("bounds", "coeffs")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__ = value_eq
 
     def __init__(
         self, bounds: SeriesBounds, coeffs: Mapping[Key, Coefficient] | None = None
     ) -> None:
-        _set(self, "bounds", bounds)
-        _set(self, "coeffs", {} if coeffs is None else coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GWSeries:
-            return NotImplemented
-        return self.bounds == other.bounds and self.coeffs == other.coeffs
+        self.__dict__.update(bounds=bounds, coeffs={} if coeffs is None else coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -350,9 +341,7 @@ def row_reduce(
     row's pivot is its smallest nonzero column.  Returns ``(pivots, origin)``:
     ``pivots`` maps each pivot column to its reduced row (1 at the pivot, 0 in
     every other pivot column), and ``origin`` maps each pivot column to the
-    position of the input row that introduced it.  A row is scaled by a
-    Fraction only when its lead is not 1 or -1, so integer rows whose leads
-    are all units reduce to integer rows.
+    position of the input row that introduced it.
     """
     pivots: dict[int, Row] = {}
     origin: dict[int, int] = {}
@@ -365,10 +354,8 @@ def row_reduce(
         if not row:
             continue
         lead = min(row)
-        scale = row[lead]
-        if scale != 1:
-            inv = scale if scale == -1 else Fraction(1, scale)
-            row = {col: value * inv for col, value in row.items()}
+        inv = Fraction(1, row[lead])
+        row = {col: value * inv for col, value in row.items()}
         for other in pivots.values():
             if lead in other:
                 _subtract(other, other[lead], row)
@@ -400,8 +387,8 @@ class GradedPoly:
     print as x0, x1, ...  Zero terms are never stored.
     """
 
-    __slots__ = ("degrees", "coeffs")
     __setattr__ = __delattr__ = refuse_assignment
+    __eq__ = value_eq
 
     def __init__(
         self, degrees: tuple[int, ...], coeffs: Mapping[MultiIndex, int] | None = None
@@ -412,13 +399,7 @@ class GradedPoly:
                 raise ValueError("monomial arity mismatch")
             if value == 0:
                 raise ValueError("zero coefficients must not be stored")
-        _set(self, "degrees", degrees)
-        _set(self, "coeffs", coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GradedPoly:
-            return NotImplemented
-        return self.degrees == other.degrees and self.coeffs == other.coeffs
+        self.__dict__.update(degrees=degrees, coeffs=coeffs)
 
     @classmethod
     def build(

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 from itertools import permutations, product
@@ -416,32 +418,55 @@ def test_key_problem_passes_exactly_the_solver_keys(model, c1, data):
 
 def test_replace_copies_through_the_constructor():
     for model in _every_model():
-        copy = model.replace(name="renamed")
-        assert copy == model and hash(copy) == hash(model) and copy is not model
-        assert copy.name == "renamed" and copy.pairing_inverse == model.pairing_inverse
+        renamed = model.replace(name="renamed")
+        assert renamed == model and hash(renamed) == hash(model) and renamed is not model
+        assert renamed.name == "renamed" and renamed.pairing_inverse == model.pairing_inverse
         assert model.replace(seeds=()) != model
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
+# each formerly frozen type: how to build one, and its attributes
+_VALUE_TYPES = {
+    "FanoModel": (
         lambda: builtin_model("p2"),
-        lambda: SeriesBounds((3,), 9, 1, 8),
-        lambda: GWSeries(SeriesBounds((3,), 9, 1, 8)),
-        lambda: GradedPoly((1,)),
-        lambda: BoundaryDatum(frozenset({1}), frozenset(), (1,), (1,)),
-        lambda: intersection_counts(2, nd_plane(2)).lhs,
-        lambda: intersection_counts(2, nd_plane(2)),
-    ],
-    ids=[
-        "FanoModel", "SeriesBounds", "GWSeries", "GradedPoly", "BoundaryDatum", "CountSide",
-        "IntersectionCounts",
-    ],
-)
-def test_value_types_refuse_assignment(build):
+        "name dimension basis_names codims pairing triples effective_c1 seeds pairing_inverse",
+    ),
+    "SeriesBounds": (lambda: SeriesBounds((3,), 9, 1, 8), "beta_weights max_c1 n_vars max_total"),
+    "GWSeries": (lambda: GWSeries(SeriesBounds((3,), 9, 1, 8), {((1,), (2,)): 5}), "bounds coeffs"),
+    "GradedPoly": (lambda: GradedPoly((1, 2), {(1, 0): 3}), "degrees coeffs"),
+    "BoundaryDatum": (
+        lambda: BoundaryDatum(frozenset({1}), frozenset({2, 3}), (1,), (0,)), "a b beta1 beta2"
+    ),
+    "CountSide": (
+        lambda: intersection_counts(3, nd_plane(3)).lhs, "label total contracted counts row power"
+    ),
+    "IntersectionCounts": (
+        lambda: intersection_counts(3, nd_plane(3)), "degree markings lhs rhs"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+def test_value_types_refuse_assignment(kind):
+    build, attrs = _VALUE_TYPES[kind]
     value = build()
-    for attr in (*type(value).__slots__, "extra"):
+    for attr in (*attrs.split(), "extra"):
         with pytest.raises(AttributeError, match="is immutable"):
             setattr(value, attr, None)
         with pytest.raises(AttributeError, match="is immutable"):
             delattr(value, attr)
+
+
+@pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+def test_value_types_compare_and_copy_by_value(kind):
+    build, _ = _VALUE_TYPES[kind]
+    value = build()
+    copies = [build(), copy.copy(value)]
+    if kind != "FanoModel":  # its read-only triples view can be neither pickled nor deep-copied
+        copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for other in copies:
+        assert other == value and not other != value
+        if kind in ("GWSeries", "GradedPoly"):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(other)
+        else:
+            assert hash(other) == hash(value)

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwcalc import builtin_model
-from gwcalc.model import _invert_exact
 from gwcalc.series import (
     GWSeries,
     GradedPoly,
     SeriesBounds,
     binomial_row,
     binomial_z,
-    row_reduce,
     series_partial,
 )
 
@@ -293,20 +290,3 @@ def test_graded_poly_specialization():
 def test_graded_poly_rejects_mixed_rings():
     with pytest.raises(ValueError):
         GradedPoly.variable((1,), 0) * GradedPoly.variable((1, 2), 0)
-
-
-def test_unit_pivots_keep_integer_rows():
-    # every lead met is 1 or -1, so no row is scaled by a Fraction
-    pivots, origin = row_reduce([{0: -1, 1: 2, 3: 5}, {1: 1, 2: -3}, {0: 1, 2: -5, 3: 2}])
-    assert pivots == {0: {0: 1, 3: 37}, 1: {1: 1, 3: 21}, 2: {2: 1, 3: 7}}
-    assert origin == {0: 0, 1: 1, 2: 2}
-    assert {type(v) for row in pivots.values() for v in row.values()} == {int}
-    # any other lead still divides exactly
-    assert row_reduce([{0: 2, 1: 1}])[0] == {0: {0: 1, 1: Fraction(1, 2)}}
-    for name in ("p1", "p2", "p3", "p4", "q3", "p1xp1"):
-        pairing = builtin_model(name).pairing
-        size = len(pairing)
-        augmented = ({**dict(enumerate(row)), size + i: 1} for i, row in enumerate(pairing))
-        pivots, _ = row_reduce(augmented)
-        assert {type(v) for row in pivots.values() for v in row.values()} == {int}, name
-        assert {type(v) for row in _invert_exact(pairing) for v in row} == {int}, name
