@@ -112,44 +112,97 @@ def test_solve_user_model_file(capsys, tmp_path):
     assert values[(2, 5)] == "1"
 
 
+def _in_each_format(argv, *digests):
+    """Golden cases for one invocation: its stdout digest in json, text and csv."""
+    return [(argv, digest, fmt) for fmt, digest in zip(("json", "text", "csv"), digests)]
+
+
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, fmt",
     [
         (
             ("--model", "q3", "--dmax", "5"),
             "90dbc2801e5ee66cd163b18bf0334731325644b1d588ed4f82c22c984294c1a0",
+            "json",
         ),
         (
             ("--model", "pr", "--r", "4", "--dmax", "3"),
             "1eedde6f48f703b43bf594e70dbeb9bf698b8861be99aa900230aa286f188993",
+            "json",
+        ),
+        *_in_each_format(
+            ("--model", "p1xp1", "--dmax", "3", "--check"),
+            "7a56e76875c15867c749e56cfd32bdbb186e297cefb8d851f5e36b224259c803",
+            "0eb86d9d433eace034709f7bd1e548861a3cac769010cee66ab4ee92a2eb32f1",
+            "d082efdc358797c72f3f5936d91994fbfe3084c41214865da383500f6ddb589a",
         ),
     ],
 )
-def test_solve_json_golden(capsys, argv, digest):
-    code, out, _ = run(capsys, "solve", *argv, "--format", "json")
+def test_solve_json_golden(capsys, argv, digest, fmt):
+    code, out, _ = run(capsys, "solve", *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, fmt",
     [
         (
             ("nd", "--dmax", "60", "--check"),
             "9699644baa3680a6def453a85b1d1d50e6b1ffa8e785cf6c0beb89aaacf410c6",
+            "json",
         ),
         (
             ("fano3", "--space", "q3", "--dmax", "10"),
             "d7d8eb4c4823121def3a490effe5d6b1abbe96dbb144a4b3d564a8aef0465443",
+            "json",
         ),
         (
             ("fano3", "--space", "p3", "--dmax", "8", "--check"),
             "1f27ac2e6127ecd7b30d75c45cc7fcf60404a1d712f954f3d0b6d381c526bdb0",
+            "json",
+        ),
+        # every verification suite, pinned in all three formats
+        *_in_each_format(
+            ("verify", "--suite", "rings", "--model", "gr24"),
+            "3cb23eada1efecef4155d81e2101187572d8224fe5b4991fbd8f622e836e862e",
+            "61b17526a7668fb9964d26d1e57cd88b7080aaeccbbf44bb1ec8fe242d487d2b",
+            "013c9827b258de8ec5ae13cc8ba4617ec58c08b6fea8c630da58dbab3fe19a14",
+        ),
+        *_in_each_format(
+            ("verify", "--suite", "rings", "--model", "pr", "--r", "3"),
+            "b8fee35d7626933e25db8ec306a275a99a8606804aaad5991978ba996643e99b",
+            "6933d35fa9a08d8158fae2fdf54b3507027bf260622910b65cea113d5ee92175",
+            "9051dc334d710c27bf817ac296ee2668eea03ac4b0f3db726d7490f20d052b17",
+        ),
+        *_in_each_format(
+            ("verify", "--suite", "boundary", "--model", "p2", "--dmax", "5"),
+            "728d71bcafbf7db4849c451f1fccef84ac18926be4785be6f97ba6b421e8950a",
+            "ee931e27041d0d11ee2de67e4669a2738f7ee4dfd59acae8f92577796b241827",
+            "057c60dc73766db76c07440aadb0b65571672b8aed39667ef7f801a248e35352",
+        ),
+        *_in_each_format(
+            ("verify", "--suite", "all", "--model", "p1xp1", "--dmax", "4"),
+            "e16fbbe2c567dfadc3e6c5f3ed56584e8b7c03869921d88973deb9325700bca6",
+            "6a06e9e223f2a1a42f371ce2ed79cc51cb098aec73b8c52376068082995b00c7",
+            "c8e955ce5e7978a199fc871a69ef6e6fe4fa388ce7cbfeb1718ee16bb50d7a28",
+        ),
+        *_in_each_format(
+            ("verify", "--suite", "wdvv", "--model", "q3", "--dmax", "3"),
+            "77d5b59338bd39d064c81c09feb12aac5f3cbe5b5463e0be261983213a3936eb",
+            "680724d0c128b4f024990f8cfd68a3ffee308f18b3650e5c3a85ae5c3192bbbe",
+            "ecf66f8ee835751a59f2a6c5a01c42dead08c5c921fb8c4c34dada50a5988396",
+        ),
+        *_in_each_format(
+            ("nd", "--dmax", "6", "--check"),
+            "9a58c1b11f2488a67ee412f5a451c5c302f9067f10a371b2f17cd2d88340fb35",
+            "236e727ea49a7f012d8ae94d0f3e703bbbec1b61b1810533365828bb2e535ed0",
+            "d413432cd49c6f65dbcdb3eda3ad3ef6cf8d1a7ca303335f9e7cd9f3956d63a9",
         ),
     ],
 )
-def test_recursion_json_golden(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv, "--format", "json")
+def test_recursion_json_golden(capsys, argv, digest, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
