@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .engine import GWTable, gw_invariant
+from .engine import GWTable, gw_invariant, nd_plane
 from .series import MultiIndex, binomial_row, class_splits, refuse_assignment, value_eq, value_hash
 
 
@@ -219,3 +219,49 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
         lhs=CountSide("lines with lines", lhs, ((0, d, 1, 1, counts[d]),), counts, row, 3),
         rhs=CountSide("lines split across", rhs, (), counts, row, 2),
     )
+
+
+# ---------------------------------------------------------------------------
+# Verification suites
+# ---------------------------------------------------------------------------
+
+
+def _boundary_equivalence_checks(table: GWTable, d_max: int):
+    """The plane's boundary equivalence at each degree 2..d_max; each side
+    is summed once."""
+    checks = []
+    for d in range(2, d_max + 1):
+        counts = intersection_counts(d, table)
+        detail = f"lhs={counts.lhs.total} rhs={counts.rhs.total}"
+        checks.append((f"boundary-equivalence-d{d}", counts.balanced, detail))
+    return checks
+
+
+def _boundary_checks(d_max: int):
+    top = max(d_max, 2)
+    checks = _boundary_equivalence_checks(nd_plane(top), top)
+    oracle_ok = True
+    for n in range(0, 6):
+        for degree in range(0, 3):
+            fast = {x.unordered() for x in enumerate_boundary(n, (degree,))}
+            slow = _brute_force_boundary(n, (degree,))
+            if fast != slow:
+                oracle_ok = False
+    checks.append(("boundary-enumeration-oracle", oracle_ok, "n<=5, degree<=2 sweep"))
+    return checks
+
+
+def _brute_force_boundary(n, beta):
+    found = set()
+    splits = [()]
+    for entry in beta:
+        splits = [prefix + (x,) for prefix in splits for x in range(entry + 1)]
+    for mask in range(1 << n):
+        side_a = frozenset(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
+        side_b = frozenset(range(1, n + 1)) - side_a
+        for beta1 in splits:
+            beta2 = tuple(x - y for x, y in zip(beta, beta1))
+            datum = BoundaryDatum(side_a, side_b, beta1, beta2)
+            if datum.is_valid(n, beta):
+                found.add(datum.unordered())
+    return found

@@ -16,12 +16,12 @@ import argparse
 import io
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .engine import (
     GWTable,
     SolveError,
     TableDepthError,
+    _wdvv_checks,
     fano3_solve,
     nd_plane,
     standard_seeds,
@@ -31,13 +31,10 @@ from .engine import (
     wdvv_solve,
 )
 from .model import FanoModel, builtin_model, load_model
-from .potential import PotentialBundle, build_potential, wdvv_residual
-from .series import GradedPoly
+from .potential import build_potential
 
 # qring and boundary are imported by the handlers that use them, so a process
 # that only solves or recurses never loads them
-if TYPE_CHECKING:
-    from .qring import QuantumRing
 
 
 class Report:
@@ -147,6 +144,8 @@ def _cmd_nd(args: argparse.Namespace) -> Report:
     rows = [((d,), table.get((d,), (3 * d - 1,))) for d in range(1, d_max + 1)]
     report = Report("p2", "nd", {"dmax": d_max}, ["d"], rows)
     if args.check:
+        from .boundary import _boundary_equivalence_checks
+
         report.checks.extend(_boundary_equivalence_checks(table, d_max))
     return report
 
@@ -220,213 +219,6 @@ def _cmd_qring(args: argparse.Namespace) -> Report:
     return Report(model.name, "qring", {"c1max": c1_max}, names, rows)
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-
-def _wdvv_checks(bundle: PotentialBundle):
-    checks = []
-    top_index = bundle.model.top_index
-    equations = wdvv_canonical_equations(top_index)
-    expected = wdvv_count(top_index)
-    checks.append(
-        (
-            "canonical-equation-count",
-            len(equations) == expected,
-            f"{len(equations)} classes, formula gives {expected}",
-        )
-    )
-    for quad in equations:
-        residual = wdvv_residual(bundle, *quad)
-        bad = sorted(residual.coeffs)
-        checks.append(
-            (
-                "residual-A" + "".join(map(str, quad)),
-                not bad,
-                "zero series" if not bad else f"nonzero at {bad[:3]}",
-            )
-        )
-    return checks
-
-
-def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
-    from .qring import big_product
-
-    checks = []
-    model = bundle.model
-    rank = model.rank
-    one = {((0,) * model.divisor_count, (0,) * len(model.nondivisor_indices)): 1}
-    unit_ok = True
-    for j in range(rank):
-        product = big_product(bundle, 0, j)
-        unit_ok = unit_ok and all(
-            product[f].coeffs == (one if f == j else {}) for f in range(rank)
-        )
-    checks.append(("big-unit", unit_ok, "T0 is a two-sided unit"))
-    comm_ok = True
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            left, right = big_product(bundle, i, j), big_product(bundle, j, i)
-            comm_ok = comm_ok and all(left[f].coeffs == right[f].coeffs for f in range(rank))
-    checks.append(("big-commutative", comm_ok, "all pairs"))
-    # <(T_i*T_j)*T_k - T_i*(T_j*T_k), T_l> is R(i,j,k,l) and g^{-1} is
-    # invertible, so the big product is associative iff every canonical
-    # residual vanishes: any other R is one of them up to sign, or zero
-    failing = [
-        quad for quad in wdvv_canonical_equations(model.top_index)
-        if not wdvv_residual(bundle, *quad).is_zero()
-    ]
-    detail = f"nonzero residual {failing[0]}" if failing else "all triples to truncation"
-    checks.append(("big-associative", not failing, detail))
-
-    if model == builtin_model("p2"):
-        # the cubic holds in any potential; it presents the ring only if the
-        # quotient reproduces T2*T2, which is the plane's one WDVV equation
-        bad = sorted(wdvv_residual(bundle, 1, 1, 2, 2).coeffs)
-        detail = f"T2*T2 not reproduced: nonzero at {bad[:3]}" if bad else "residual zero"
-        checks.append(("plane-cubic-presentation", not bad, detail))
-
-    homogeneous = True
-    for (i, j), expansion in ring.constants.items():
-        for f, poly in expansion.items():
-            for mono, _ in poly.terms():
-                degree = sum(e * d for e, d in zip(mono, ring.q_degrees))
-                if degree + model.codim(f) != model.codim(i) + model.codim(j):
-                    homogeneous = False
-    checks.append(("small-homogeneous", homogeneous, "structure constants graded"))
-    cup_ok = True
-    classical = ring.specialize_q0()
-    for (i, j), expansion in classical.items():
-        for f in range(rank):
-            total = sum(
-                model.triple(i, j, e) * model.g_inv(e, f) for e in range(rank)
-            )
-            if expansion.get(f, 0) != total:
-                cup_ok = False
-    checks.append(("small-q0-is-cup", cup_ok, "classical product recovered"))
-    return checks
-
-
-def _pr_checks(ring: QuantumRing):
-    from .qring import pr_presentation
-
-    checks = []
-    r = ring.model.dimension
-    rules_ok = True
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            expansion = {
-                f: poly for f, poly in ring.product(i, j).items() if not poly.is_zero()
-            }
-            # T_i * T_j is T_{i+j} up to the fold and q T_{i+j-r-1} above it
-            target, mono = (i + j, (0,)) if i + j <= r else (i + j - r - 1, (1,))
-            good = list(expansion) == [target] and expansion[target].coeffs == {mono: 1}
-            if not good:
-                rules_ok = False
-    checks.append((f"pr{r}-product-rules", rules_ok, "cup below the fold, q above"))
-    power = ring.basis_power(1, r + 1)
-    nonzero = {f: poly for f, poly in power.items() if not poly.is_zero()}
-    power_ok = list(nonzero) == [0] and nonzero[0].coeffs == {(1,): 1}
-    checks.append((f"pr{r}-hyperplane-power", power_ok, "(r+1)-st power is q"))
-    pres = pr_presentation(r)
-    t_var = pres.variable(0)
-    q_var = pres.variable(1)
-    high = GradedPoly.constant(pres.degrees, 1)
-    for _ in range(r + 2):
-        high = high * t_var
-    nf_ok = pres.normal_form(high) == pres.normal_form(q_var * t_var)
-    checks.append((f"pr{r}-normal-form", nf_ok, "T^(r+2) reduces to q*T"))
-    return checks
-
-
-def _grassmannian_checks(p: int, n: int):
-    from .qring import grassmannian_lift, grassmannian_presentation, s_r_determinant
-
-    checks = []
-    k = n - p
-    try:
-        ideal = grassmannian_presentation(p, n)
-        checks.append(("gr-presentation-rank", True, f"graded ranks match, basis count verified"))
-    except ArithmeticError as exc:
-        return [("gr-presentation-rank", False, str(exc))]
-
-    classical_ok = True
-    for i in range(p + 1, n):
-        reduced = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, i), n))
-        if not reduced.is_zero():
-            classical_ok = False
-    top = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, n), n))
-    q_mono = (0,) * k + (1,)
-    if top.coeffs != {q_mono: -((-1) ** k)}:
-        classical_ok = False
-    checks.append(("gr-classical-relations", classical_ok, "S_i vanish at q=0"))
-
-    identity = s_r_determinant(p, n, n)
-    sign = -1
-    for i in range(1, k + 1):
-        term = s_r_determinant(p, n, n - i) * GradedPoly.variable(identity.degrees, i - 1)
-        identity = identity + term.scale(sign)
-        sign = -sign
-    checks.append(("gr-alternating-identity", identity.is_zero(), "formal identity"))
-
-    sigma_k = ideal.variable(k - 1)
-    dual = grassmannian_lift(s_r_determinant(p, n, p), n)
-    product = ideal.normal_form(sigma_k * dual)
-    q_poly = ideal.variable(k)
-    seed_ok = product == ideal.normal_form(q_poly)
-    checks.append(("gr-seed-product", seed_ok, "sigma_k * sigma_(1^p) = q"))
-    return checks
-
-
-def _boundary_equivalence_checks(table: GWTable, d_max: int):
-    """The plane's boundary equivalence at each degree 2..d_max; each side
-    is summed once."""
-    from .boundary import intersection_counts
-
-    checks = []
-    for d in range(2, d_max + 1):
-        counts = intersection_counts(d, table)
-        lhs, rhs = counts.lhs.total, counts.rhs.total
-        checks.append((f"boundary-equivalence-d{d}", lhs == rhs, f"lhs={lhs} rhs={rhs}"))
-    return checks
-
-
-def _boundary_checks(d_max: int):
-    from .boundary import enumerate_boundary
-
-    top = max(d_max, 2)
-    checks = _boundary_equivalence_checks(nd_plane(top), top)
-    p2 = builtin_model("p2")
-    oracle_ok = True
-    for n in range(0, 6):
-        for degree in range(0, 3):
-            fast = {x.unordered() for x in enumerate_boundary(n, (degree,))}
-            slow = _brute_force_boundary(p2, n, (degree,))
-            if fast != slow:
-                oracle_ok = False
-    checks.append(("boundary-enumeration-oracle", oracle_ok, "n<=5, degree<=2 sweep"))
-    return checks
-
-
-def _brute_force_boundary(model, n, beta):
-    from .boundary import BoundaryDatum
-
-    found = set()
-    splits = [()]
-    for entry in beta:
-        splits = [prefix + (x,) for prefix in splits for x in range(entry + 1)]
-    for mask in range(1 << n):
-        side_a = frozenset(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
-        side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in splits:
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
-            datum = BoundaryDatum(side_a, side_b, beta1, beta2)
-            if datum.is_valid(n, beta):
-                found.add(datum.unordered())
-    return found
-
-
 def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite not in {"wdvv", "rings", "boundary", "all"}:
         raise ConfigError("--suite must be wdvv, rings, boundary, or all")
@@ -438,6 +230,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if grass and args.r is None:  # with --r, _resolve_model refuses it
         if args.suite not in {"rings", "all"}:
             raise ConfigError(f"model {name} supports only the rings suite")
+        from .qring import _grassmannian_checks
+
         report = Report(name, "verify", bounds, [])
         report.checks.extend(_grassmannian_checks(int(name[2]), int(name[3])))
         return report
@@ -453,7 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite in {"wdvv", "all"}:
         report.checks.extend(_wdvv_checks(bundle))
     if rings:
-        from .qring import small_ring
+        from .qring import _pr_checks, _ring_checks, small_ring
 
         ring = small_ring(table)
         report.checks.extend(_ring_checks(bundle, ring))
@@ -463,6 +257,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite == "boundary" or (args.suite == "all" and plane):
         if not plane:
             raise ConfigError("the boundary suite replays the plane argument; use --model p2")
+        from .boundary import _boundary_checks
+
         report.checks.extend(_boundary_checks(d_max))
     return report
 

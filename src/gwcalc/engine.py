@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import FanoModel, ModelError, builtin_model
-from .potential import build_potential
+from .potential import PotentialBundle, build_potential, wdvv_residual
 from .series import GWSeries, MultiIndex, binomial_row, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
@@ -330,6 +330,32 @@ def wdvv_canonical_equations(m: int) -> list[tuple[int, int, int, int]]:
             turns = [quad[t:] + quad[:t] for t in range(4)]
             found.add(min(turns + [turn[::-1] for turn in turns]))
     return sorted(found)
+
+
+def _wdvv_checks(bundle: PotentialBundle):
+    """The residual sweep: the equation count, then each canonical residual."""
+    checks = []
+    top_index = bundle.model.top_index
+    equations = wdvv_canonical_equations(top_index)
+    expected = wdvv_count(top_index)
+    checks.append(
+        (
+            "canonical-equation-count",
+            len(equations) == expected,
+            f"{len(equations)} classes, formula gives {expected}",
+        )
+    )
+    for quad in equations:
+        residual = wdvv_residual(bundle, *quad)
+        bad = sorted(residual.coeffs)
+        checks.append(
+            (
+                "residual-A" + "".join(map(str, quad)),
+                not bad,
+                "zero series" if not bad else f"nonzero at {bad[:3]}",
+            )
+        )
+    return checks
 
 
 # ---------------------------------------------------------------------------

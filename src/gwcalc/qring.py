@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import GWTable
-from .model import FanoModel
+from .engine import GWTable, wdvv_canonical_equations
+from .model import FanoModel, builtin_model
 from .potential import Expansion, PotentialBundle, build_potential, f_bracket, wdvv_residual
 from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
 
@@ -386,3 +386,131 @@ def presentation_from_big(bundle: PotentialBundle) -> dict[int, GWSeries]:
     if bad:
         raise ArithmeticError(f"cubic relation fails at {bad}")
     return {2: g111, 1: g112.scale(2), 0: g122}
+
+
+# ---------------------------------------------------------------------------
+# Verification suites
+# ---------------------------------------------------------------------------
+
+
+def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
+    checks = []
+    model = bundle.model
+    rank = model.rank
+    one = {((0,) * model.divisor_count, (0,) * len(model.nondivisor_indices)): 1}
+    unit_ok = True
+    for j in range(rank):
+        product = big_product(bundle, 0, j)
+        unit_ok = unit_ok and all(
+            product[f].coeffs == (one if f == j else {}) for f in range(rank)
+        )
+    checks.append(("big-unit", unit_ok, "T0 is a two-sided unit"))
+    comm_ok = True
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            left, right = big_product(bundle, i, j), big_product(bundle, j, i)
+            comm_ok = comm_ok and all(left[f].coeffs == right[f].coeffs for f in range(rank))
+    checks.append(("big-commutative", comm_ok, "all pairs"))
+    # <(T_i*T_j)*T_k - T_i*(T_j*T_k), T_l> is R(i,j,k,l) and g^{-1} is
+    # invertible, so the big product is associative iff every canonical
+    # residual vanishes: any other R is one of them up to sign, or zero
+    failing = [
+        quad for quad in wdvv_canonical_equations(model.top_index)
+        if not wdvv_residual(bundle, *quad).is_zero()
+    ]
+    detail = f"nonzero residual {failing[0]}" if failing else "all triples to truncation"
+    checks.append(("big-associative", not failing, detail))
+
+    if model == builtin_model("p2"):
+        # the cubic holds in any potential; it presents the ring only if the
+        # quotient reproduces T2*T2, which is the plane's one WDVV equation
+        bad = sorted(wdvv_residual(bundle, 1, 1, 2, 2).coeffs)
+        detail = f"T2*T2 not reproduced: nonzero at {bad[:3]}" if bad else "residual zero"
+        checks.append(("plane-cubic-presentation", not bad, detail))
+
+    homogeneous = True
+    for (i, j), expansion in ring.constants.items():
+        for f, poly in expansion.items():
+            for mono, _ in poly.terms():
+                degree = sum(e * d for e, d in zip(mono, ring.q_degrees))
+                if degree + model.codim(f) != model.codim(i) + model.codim(j):
+                    homogeneous = False
+    checks.append(("small-homogeneous", homogeneous, "structure constants graded"))
+    cup_ok = True
+    classical = ring.specialize_q0()
+    for (i, j), expansion in classical.items():
+        for f in range(rank):
+            total = sum(
+                model.triple(i, j, e) * model.g_inv(e, f) for e in range(rank)
+            )
+            if expansion.get(f, 0) != total:
+                cup_ok = False
+    checks.append(("small-q0-is-cup", cup_ok, "classical product recovered"))
+    return checks
+
+
+def _pr_checks(ring: QuantumRing):
+    checks = []
+    r = ring.model.dimension
+    rules_ok = True
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            expansion = {
+                f: poly for f, poly in ring.product(i, j).items() if not poly.is_zero()
+            }
+            # T_i * T_j is T_{i+j} up to the fold and q T_{i+j-r-1} above it
+            target, mono = (i + j, (0,)) if i + j <= r else (i + j - r - 1, (1,))
+            good = list(expansion) == [target] and expansion[target].coeffs == {mono: 1}
+            if not good:
+                rules_ok = False
+    checks.append((f"pr{r}-product-rules", rules_ok, "cup below the fold, q above"))
+    power = ring.basis_power(1, r + 1)
+    nonzero = {f: poly for f, poly in power.items() if not poly.is_zero()}
+    power_ok = list(nonzero) == [0] and nonzero[0].coeffs == {(1,): 1}
+    checks.append((f"pr{r}-hyperplane-power", power_ok, "(r+1)-st power is q"))
+    pres = pr_presentation(r)
+    t_var = pres.variable(0)
+    q_var = pres.variable(1)
+    high = GradedPoly.constant(pres.degrees, 1)
+    for _ in range(r + 2):
+        high = high * t_var
+    nf_ok = pres.normal_form(high) == pres.normal_form(q_var * t_var)
+    checks.append((f"pr{r}-normal-form", nf_ok, "T^(r+2) reduces to q*T"))
+    return checks
+
+
+def _grassmannian_checks(p: int, n: int):
+    checks = []
+    k = n - p
+    try:
+        ideal = grassmannian_presentation(p, n)
+        checks.append(("gr-presentation-rank", True, "graded ranks match, basis count verified"))
+    except ArithmeticError as exc:
+        return [("gr-presentation-rank", False, str(exc))]
+
+    classical_ok = True
+    for i in range(p + 1, n):
+        reduced = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, i), n))
+        if not reduced.is_zero():
+            classical_ok = False
+    top = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, n), n))
+    q_mono = (0,) * k + (1,)
+    if top.coeffs != {q_mono: -((-1) ** k)}:
+        classical_ok = False
+    checks.append(("gr-classical-relations", classical_ok, "S_i vanish at q=0"))
+
+    identity = s_r_determinant(p, n, n)
+    sign = -1
+    for i in range(1, k + 1):
+        term = s_r_determinant(p, n, n - i) * GradedPoly.variable(identity.degrees, i - 1)
+        identity = identity + term.scale(sign)
+        sign = -sign
+    checks.append(("gr-alternating-identity", identity.is_zero(), "formal identity"))
+
+    sigma_k = ideal.variable(k - 1)
+    dual = grassmannian_lift(s_r_determinant(p, n, p), n)
+    product = ideal.normal_form(sigma_k * dual)
+    q_poly = ideal.variable(k)
+    seed_ok = product == ideal.normal_form(q_poly)
+    checks.append(("gr-seed-product", seed_ok, "sigma_k * sigma_(1^p) = q"))
+    return checks

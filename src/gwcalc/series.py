@@ -81,6 +81,17 @@ def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(map(add, a, b))
 
 
+def accumulate(target: dict, items: Iterable[tuple], factor: Coefficient = 1) -> dict:
+    """In place: target += factor * items, dropping entries that cancel; returns target."""
+    for key, value in items:
+        acc = target.get(key, 0) + factor * value
+        if acc:
+            target[key] = acc
+        else:
+            target.pop(key, None)
+    return target
+
+
 def class_splits(beta: MultiIndex) -> list[MultiIndex]:
     """Every beta1 with 0 <= beta1 <= beta componentwise, in lexicographic
     order; beta1 and beta - beta1 are the two parts of a class splitting."""
@@ -187,16 +198,13 @@ class GWSeries:
         bounds: SeriesBounds,
         terms: Mapping[Key, Coefficient] | Iterable[tuple[Key, Coefficient]],
     ) -> "GWSeries":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        coeffs: dict[Key, Coefficient] = {}
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
         for (beta, n), value in items:
             bounds.check_key(beta, n)
             if not bounds.in_bounds(beta, n):
                 raise ValueError(f"key {(beta, n)} exceeds truncation bounds")
-            if _exact(value):
-                coeffs[(beta, n)] = coeffs.get((beta, n), 0) + value
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        return cls(bounds, coeffs)
+            _exact(value)
+        return cls(bounds, accumulate({}, items))
 
     @classmethod
     def zero(cls, bounds: SeriesBounds) -> "GWSeries":
@@ -228,14 +236,7 @@ class GWSeries:
 
     def __add__(self, other: "GWSeries") -> "GWSeries":
         self._require_same_bounds(other)
-        coeffs = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            acc = coeffs.get(key, 0) + value
-            if acc:
-                coeffs[key] = acc
-            else:
-                coeffs.pop(key, None)
-        return GWSeries(self.bounds, coeffs)
+        return GWSeries(self.bounds, accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other: "GWSeries") -> "GWSeries":
         return self + other.scale(-1)
@@ -350,7 +351,7 @@ def row_reduce(
         # pivot rows vanish in every other pivot column, so the order of
         # these subtractions does not matter
         for col in [c for c in row if c in pivots]:
-            _subtract(row, row[col], pivots[col])
+            accumulate(row, pivots[col].items(), -row[col])
         if not row:
             continue
         lead = min(row)
@@ -358,20 +359,10 @@ def row_reduce(
         row = {col: value * inv for col, value in row.items()}
         for other in pivots.values():
             if lead in other:
-                _subtract(other, other[lead], row)
+                accumulate(other, row.items(), -other[lead])
         pivots[lead] = row
         origin[lead] = position
     return pivots, origin
-
-
-def _subtract(row: Row, factor: Coefficient, other: Row) -> None:
-    """In place: row -= factor * other, dropping entries that cancel."""
-    for col, value in other.items():
-        acc = row.get(col, 0) - factor * value
-        if acc:
-            row[col] = acc
-        else:
-            row.pop(col, None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +399,7 @@ class GradedPoly:
         terms: Mapping[MultiIndex, int] | Iterable[tuple[MultiIndex, int]],
     ) -> "GradedPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        coeffs: dict[MultiIndex, int] = {}
-        for mono, value in items:
-            acc = coeffs.get(tuple(mono), 0) + value
-            if acc:
-                coeffs[tuple(mono)] = acc
-            else:
-                coeffs.pop(tuple(mono), None)
-        return cls(degrees, coeffs)
+        return cls(degrees, accumulate({}, ((tuple(mono), value) for mono, value in items)))
 
     @classmethod
     def zero(cls, degrees: tuple[int, ...]) -> "GradedPoly":
@@ -467,14 +451,7 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._same_ring(other)
-        coeffs = dict(self.coeffs)
-        for mono, value in other.coeffs.items():
-            acc = coeffs.get(mono, 0) + value
-            if acc:
-                coeffs[mono] = acc
-            else:
-                coeffs.pop(mono, None)
-        return GradedPoly(self.degrees, coeffs)
+        return GradedPoly(self.degrees, accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + other.scale(-1)
@@ -491,13 +468,7 @@ class GradedPoly:
         self._same_ring(other)
         coeffs: dict[MultiIndex, int] = {}
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = index_add(m1, m2)
-                acc = coeffs.get(mono, 0) + c1 * c2
-                if acc:
-                    coeffs[mono] = acc
-                else:
-                    coeffs.pop(mono, None)
+            accumulate(coeffs, ((index_add(m1, m2), c2) for m2, c2 in other.coeffs.items()), c1)
         return GradedPoly(self.degrees, coeffs)
 
     def set_var_to_zero(self, index: int) -> "GradedPoly":

@@ -3,12 +3,11 @@ import pytest
 from gwcalc import (
     BoundaryDatum,
     builtin_model,
-    cli,
     enumerate_boundary,
     intersection_counts,
     nd_plane,
 )
-from gwcalc.boundary import CountSide
+from gwcalc.boundary import CountSide, _boundary_equivalence_checks
 from gwcalc.engine import TableDepthError
 from gwcalc.series import binomial_z
 
@@ -215,7 +214,7 @@ def test_paired_totals_match_the_ordered_items():
 def test_boundary_equivalence_fails_at_a_raised_count(d):
     table = nd_plane(10)
     table.add((d,), (3 * d - 1,), table.get((d,), (3 * d - 1,)) + 1)
-    checks = cli._boundary_equivalence_checks(table, 10)
+    checks = _boundary_equivalence_checks(table, 10)
     assert [name for name, ok, _ in checks if not ok][0] == f"boundary-equivalence-d{d}"
 
 
@@ -224,5 +223,5 @@ def test_boundary_equivalence_totals_build_no_items(monkeypatch):
         raise AssertionError(f"{side.label}: terms built")
 
     monkeypatch.setattr(CountSide, "terms", property(refuse))
-    checks = cli._boundary_equivalence_checks(nd_plane(30), 30)
+    checks = _boundary_equivalence_checks(nd_plane(30), 30)
     assert len(checks) == 29 and all(ok for _, ok, _ in checks)

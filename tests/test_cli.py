@@ -9,7 +9,7 @@ import pytest
 
 from gwcalc import builtin_model, cli, save_model
 from gwcalc.cli import Report, main
-from gwcalc.engine import GWTable, standard_table
+from gwcalc.engine import GWTable, _wdvv_checks, standard_table
 from gwcalc.potential import build_potential
 
 
@@ -430,7 +430,7 @@ def test_residual_sweep_catches_a_raised_top_count(name, c1_max):
     entries = dict(table.entries)
     entries[top] += 1
     raised = GWTable(model, table.c1_max, entries)
-    checks = cli._wdvv_checks(build_potential(raised, c1_max))
+    checks = _wdvv_checks(build_potential(raised, c1_max))
     failed = [detail for label, ok, detail in checks if not ok]
     assert failed and all(label.startswith("residual-A") for label, ok, _ in checks if not ok)
     for detail in failed:

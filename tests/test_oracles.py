@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
-from gwcalc.cli import _wdvv_checks, main
-from gwcalc.engine import GWTable, standard_seeds, standard_table, wdvv_solve
+from gwcalc.cli import main
+from gwcalc.engine import GWTable, _wdvv_checks, standard_seeds, standard_table, wdvv_solve
 from gwcalc.potential import build_potential
 from gwcalc.qring import PresentationIdeal, grassmannian_presentation
 from gwcalc.series import GradedPoly

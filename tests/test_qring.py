@@ -26,7 +26,8 @@ from gwcalc import (
     wdvv_residual,
 )
 from gwcalc import cli, qring
-from gwcalc.cli import _ring_checks, _wdvv_checks
+from gwcalc.engine import _wdvv_checks
+from gwcalc.qring import _ring_checks
 from gwcalc.series import GWSeries, GradedPoly
 
 
@@ -277,7 +278,7 @@ def test_ring_checks_fetch_each_big_product_once(monkeypatch, p3_potential, p3_r
         calls.append((i, j))
         return product(bundle, i, j)
 
-    # _ring_checks imports big_product from qring when it runs
+    # _ring_checks reads big_product from qring's globals when it runs
     monkeypatch.setattr(qring, "big_product", counting)
     checks = _ring_checks(_uncached(p3_potential), p3_ring)
     assert all(ok for _, ok, _ in checks)
