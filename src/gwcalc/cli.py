@@ -251,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
         ring = small_ring(table)
         report.checks.extend(_ring_checks(bundle, ring))
-        if 1 <= model.dimension <= 4 and model == builtin_model("pr", r=model.dimension):
+        if model.dimension >= 1 and model == builtin_model("pr", r=model.dimension):
             report.checks.extend(_pr_checks(ring))
     plane = model == builtin_model("p2")
     if args.suite == "boundary" or (args.suite == "all" and plane):
@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
         if model:
             source = p.add_mutually_exclusive_group()
-            source.add_argument("--model", help="built-in model name (p1, p2, p3, q3, pr, p1xp1)")
+            source.add_argument(
+                "--model", help="built-in model name (p1, p2, p3, p4, q3, pr, p1xp1)"
+            )
             source.add_argument("--model-file", help="path to a model description file")
             p.add_argument("--r", type=int, help="projective dimension for --model pr")
 

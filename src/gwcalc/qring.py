@@ -20,11 +20,14 @@ every monomial in a chosen monomial basis of the quotient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .engine import GWTable, wdvv_canonical_equations
 from .model import FanoModel, builtin_model
 from .potential import Expansion, PotentialBundle, build_potential, f_bracket, wdvv_residual
-from .series import GWSeries, GradedPoly, MultiIndex, compositions, index_add, row_reduce
+from .series import (
+    GWSeries, GradedPoly, MultiIndex, accumulate, compositions, index_add, row_reduce
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +220,14 @@ class PresentationIdeal:
             raise ValueError("polynomial lives in a different graded ring")
         out: dict[MultiIndex, Fraction] = {}
         for mono, coeff in poly.coeffs.items():
-            degree = sum(e * d for e, d in zip(mono, self.degrees))
-            _, rewrite = self._reduction(degree)
-            for target, factor in rewrite.get(mono, {mono: 1}).items():
-                out[target] = out.get(target, 0) + coeff * factor
+            _, rewrite = self._reduction(poly.monomial_degree(mono))
+            accumulate(out, rewrite.get(mono, {mono: 1}).items(), coeff)
         for coeff in out.values():
             if coeff.denominator != 1:
                 raise ArithmeticError(
                     f"normal form of {poly} has non-integral coefficient {coeff}"
                 )
-        return GradedPoly.build(self.degrees, {m: int(c) for m, c in out.items()})
+        return GradedPoly(self.degrees, {m: int(c) for m, c in out.items()})
 
     def reduces_to_zero(self, poly: GradedPoly) -> bool:
         return self.normal_form(poly).is_zero()
@@ -291,16 +292,11 @@ def _determinant(matrix, degrees) -> GradedPoly:
 
 def _box_betti(p: int, k: int) -> list[int]:
     """Number of partitions inside a p x k box by size (the graded ranks of
-    the classical cohomology)."""
+    the classical cohomology); such a partition is a multiset of p parts
+    drawn from 0..k."""
     counts = [0] * (p * k + 1)
-    stack = [(0, k, ())]
-    while stack:
-        depth, limit, shape = stack.pop()
-        counts[sum(shape)] += 1
-        if depth == p:
-            continue
-        for part in range(1, limit + 1):
-            stack.append((depth + 1, part, shape + (part,)))
+    for parts in combinations_with_replacement(range(k + 1), p):
+        counts[sum(parts)] += 1
     return counts
 
 
@@ -330,14 +326,10 @@ def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
     relations.append(top)
     ideal = PresentationIdeal(degrees, tuple(relations))
 
-    # The quotient must be free of rank C(n,p) over the parameter: degree by
-    # degree its rank has to equal the box-partition counts, repeated with
-    # period deg(q).
+    # The quotient must be free of rank C(n,p) over the parameter, the number
+    # of partitions in the box: degree by degree its rank has to equal the
+    # box-partition counts, repeated with period deg(q).
     betti = _box_betti(p, k)
-    from math import comb
-
-    if sum(betti) != comb(n, p):
-        raise ArithmeticError("partition count disagrees with the basis count")
     for degree in range(p * k + n + 1):
         expected = sum(
             betti[degree - n * j]
@@ -397,7 +389,7 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
     checks = []
     model = bundle.model
     rank = model.rank
-    one = {((0,) * model.divisor_count, (0,) * len(model.nondivisor_indices)): 1}
+    one = GWSeries.constant(bundle.bounds, 1).coeffs
     unit_ok = True
     for j in range(rank):
         product = big_product(bundle, 0, j)
@@ -431,9 +423,8 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
     homogeneous = True
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
-            for mono, _ in poly.terms():
-                degree = sum(e * d for e, d in zip(mono, ring.q_degrees))
-                if degree + model.codim(f) != model.codim(i) + model.codim(j):
+            for mono in poly.coeffs:
+                if poly.monomial_degree(mono) + model.codim(f) != model.codim(i) + model.codim(j):
                     homogeneous = False
     checks.append(("small-homogeneous", homogeneous, "structure constants graded"))
     cup_ok = True
@@ -469,12 +460,8 @@ def _pr_checks(ring: QuantumRing):
     power_ok = list(nonzero) == [0] and nonzero[0].coeffs == {(1,): 1}
     checks.append((f"pr{r}-hyperplane-power", power_ok, "(r+1)-st power is q"))
     pres = pr_presentation(r)
-    t_var = pres.variable(0)
-    q_var = pres.variable(1)
-    high = GradedPoly.constant(pres.degrees, 1)
-    for _ in range(r + 2):
-        high = high * t_var
-    nf_ok = pres.normal_form(high) == pres.normal_form(q_var * t_var)
+    high = GradedPoly(pres.degrees, {(r + 2, 0): 1})
+    nf_ok = pres.normal_form(high) == pres.normal_form(GradedPoly(pres.degrees, {(1, 1): 1}))
     checks.append((f"pr{r}-normal-form", nf_ok, "T^(r+2) reduces to q*T"))
     return checks
 
@@ -488,28 +475,21 @@ def _grassmannian_checks(p: int, n: int):
     except ArithmeticError as exc:
         return [("gr-presentation-rank", False, str(exc))]
 
-    classical_ok = True
-    for i in range(p + 1, n):
-        reduced = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, i), n))
-        if not reduced.is_zero():
-            classical_ok = False
-    top = ideal.normal_form(grassmannian_lift(s_r_determinant(p, n, n), n))
-    q_mono = (0,) * k + (1,)
-    if top.coeffs != {q_mono: -((-1) ** k)}:
-        classical_ok = False
+    s_r = {r: s_r_determinant(p, n, r) for r in range(p, n + 1)}
+    top = ideal.normal_form(grassmannian_lift(s_r[n], n))
+    classical_ok = top.coeffs == {(0,) * k + (1,): -((-1) ** k)} and all(
+        ideal.reduces_to_zero(grassmannian_lift(s_r[r], n)) for r in range(p + 1, n)
+    )
     checks.append(("gr-classical-relations", classical_ok, "S_i vanish at q=0"))
 
-    identity = s_r_determinant(p, n, n)
-    sign = -1
+    identity = s_r[n]
     for i in range(1, k + 1):
-        term = s_r_determinant(p, n, n - i) * GradedPoly.variable(identity.degrees, i - 1)
-        identity = identity + term.scale(sign)
-        sign = -sign
+        term = s_r[n - i] * GradedPoly.variable(identity.degrees, i - 1)
+        identity = identity + term.scale((-1) ** i)
     checks.append(("gr-alternating-identity", identity.is_zero(), "formal identity"))
 
     sigma_k = ideal.variable(k - 1)
-    dual = grassmannian_lift(s_r_determinant(p, n, p), n)
-    product = ideal.normal_form(sigma_k * dual)
+    product = ideal.normal_form(sigma_k * grassmannian_lift(s_r[p], n))
     q_poly = ideal.variable(k)
     seed_ok = product == ideal.normal_form(q_poly)
     checks.append(("gr-seed-product", seed_ok, "sigma_k * sigma_(1^p) = q"))

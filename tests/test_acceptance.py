@@ -28,8 +28,9 @@ from gwcalc import (
     wdvv_count,
     wdvv_solve,
 )
+from gwcalc.boundary import _brute_force_boundary
+from gwcalc.qring import grassmannian_lift
 from gwcalc.series import GWSeries, binomial_z
-from tests.test_boundary import brute_force_boundary
 
 
 def report(criterion, ok):
@@ -198,12 +199,9 @@ def test_criterion_08_small_rings():
     )
     ok = ok and rank == 6
     s1, s2, q = ideal.variable(0), ideal.variable(1), ideal.variable(2)
-
-    def lift(poly):
-        return GradedPoly(ideal.degrees, {m + (0,): c for m, c in poly.coeffs.items()})
-
-    ok = ok and ideal.reduces_to_zero(lift(s_r_determinant(2, 4, 3)))
-    ok = ok and ideal.normal_form(lift(s_r_determinant(2, 4, 4))).set_var_to_zero(2).is_zero()
+    ok = ok and ideal.reduces_to_zero(grassmannian_lift(s_r_determinant(2, 4, 3), 4))
+    top = ideal.normal_form(grassmannian_lift(s_r_determinant(2, 4, 4), 4))
+    ok = ok and top.set_var_to_zero(2).is_zero()
     identity = s_r_determinant(2, 4, 4)
     sign = -1
     for i in range(1, 3):
@@ -230,6 +228,6 @@ def test_criterion_10_enumeration_oracle():
             for d in range(0, 12 // line_degree + 1):
                 beta = (d,)
                 fast = {x.unordered() for x in enumerate_boundary(n, beta)}
-                if fast != brute_force_boundary(n, beta):
+                if fast != _brute_force_boundary(n, beta):
                     ok = False
     report("10 boundary enumeration matches brute force", ok)

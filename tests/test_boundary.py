@@ -1,32 +1,14 @@
 import pytest
 
 from gwcalc import (
-    BoundaryDatum,
     builtin_model,
     enumerate_boundary,
     intersection_counts,
     nd_plane,
 )
-from gwcalc.boundary import CountSide, _boundary_equivalence_checks
+from gwcalc.boundary import CountSide, _boundary_equivalence_checks, _brute_force_boundary
 from gwcalc.engine import TableDepthError
 from gwcalc.series import binomial_z
-
-
-def brute_force_boundary(n, beta):
-    """Oracle: all ordered (side, split) pairs, filtered, deduplicated."""
-    splits = [()]
-    for entry in beta:
-        splits = [prefix + (x,) for prefix in splits for x in range(entry + 1)]
-    found = set()
-    for mask in range(1 << n):
-        side_a = frozenset(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
-        side_b = frozenset(range(1, n + 1)) - side_a
-        for beta1 in splits:
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
-            datum = BoundaryDatum(side_a, side_b, beta1, beta2)
-            if datum.is_valid(n, beta):
-                found.add(datum.unordered())
-    return found
 
 
 def test_four_points_no_curve_class():
@@ -80,14 +62,14 @@ def test_enumeration_matches_brute_force(model_name, d_top):
             beta = (d,)
             assert model.c1_degree(beta) <= 12
             fast = {x.unordered() for x in enumerate_boundary(n, beta)}
-            assert fast == brute_force_boundary(n, beta)
+            assert fast == _brute_force_boundary(n, beta)
 
 
 def test_enumeration_two_parameter_classes():
     for n in range(0, 5):
         for beta in [(1, 0), (1, 1), (2, 1)]:
             fast = {x.unordered() for x in enumerate_boundary(n, beta)}
-            assert fast == brute_force_boundary(n, beta)
+            assert fast == _brute_force_boundary(n, beta)
 
 
 def d_sum(n, beta, i, j, k, l):

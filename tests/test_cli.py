@@ -228,6 +228,14 @@ def test_verify_rings_projective(capsys):
     assert "PASS pr3-hyperplane-power" in out
 
 
+def test_verify_rings_projective_above_four(capsys):
+    argv = ["verify", "--suite", "rings", "--model", "pr", "--r", "6", "--dmax", "1"]
+    checks = {c["name"]: c["pass"] for c in _json_run(capsys, *argv)["checks"]}
+    for name in ("pr6-product-rules", "pr6-hyperplane-power", "pr6-normal-form"):
+        assert checks[name] is True
+    assert all(checks.values()), checks
+
+
 def test_verify_boundary(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "boundary", "--model", "p2", "--dmax", "6")
     assert code == 0

@@ -25,9 +25,11 @@ from gwcalc import (
     standard_table,
     wdvv_residual,
 )
+from math import comb
+
 from gwcalc import cli, qring
 from gwcalc.engine import _wdvv_checks
-from gwcalc.qring import _ring_checks
+from gwcalc.qring import _grassmannian_checks, _ring_checks, grassmannian_lift
 from gwcalc.series import GWSeries, GradedPoly
 
 
@@ -667,9 +669,14 @@ def _box_partitions_by_size(p, k):
     return counts
 
 
+# every Grassmannian the presentation supports: p(n - p) <= 6
+SMALL_GRASSMANNIANS = [(p, n) for n in range(2, 8) for p in range(1, n) if p * (n - p) <= 6]
+
+
 def test_grassmannian_presentation_rank():
-    for p, n, total in ((2, 4, 6), (2, 5, 10)):
-        k = n - p
+    assert len(SMALL_GRASSMANNIANS) == 14
+    for p, n in SMALL_GRASSMANNIANS:
+        k, total = n - p, comb(n, p)
         ideal = grassmannian_presentation(p, n)
         box = _box_partitions_by_size(p, k)
         assert sum(box) == total
@@ -680,6 +687,18 @@ def test_grassmannian_presentation_rank():
                 if degree - n * j <= p * k
             )
             assert ideal.rank(degree) == expected
+
+
+@pytest.mark.parametrize("p, n", SMALL_GRASSMANNIANS)
+def test_grassmannian_checks_pass(p, n):
+    checks = _grassmannian_checks(p, n)
+    assert [name for name, _, _ in checks] == [
+        "gr-presentation-rank",
+        "gr-classical-relations",
+        "gr-alternating-identity",
+        "gr-seed-product",
+    ]
+    assert all(ok for _, ok, _ in checks), checks
 
 
 def test_grassmannian_seed_product():
@@ -702,12 +721,8 @@ def test_grassmannian_point_class_cube():
 
 def test_grassmannian_classical_relations_at_q0():
     ideal = grassmannian_presentation(2, 4)
-
-    def lift(poly):
-        return GradedPoly(ideal.degrees, {m + (0,): c for m, c in poly.coeffs.items()})
-
-    assert ideal.reduces_to_zero(lift(s_r_determinant(2, 4, 3)))
-    top = ideal.normal_form(lift(s_r_determinant(2, 4, 4)))
+    assert ideal.reduces_to_zero(grassmannian_lift(s_r_determinant(2, 4, 3), 4))
+    top = ideal.normal_form(grassmannian_lift(s_r_determinant(2, 4, 4), 4))
     assert top.set_var_to_zero(2).is_zero()
     assert top.coeffs == {(0, 0, 1): -1}
 
