@@ -2,6 +2,7 @@ import io
 import itertools
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,6 @@ from gwcalc import (
     standard_table,
     wdvv_residual,
 )
-from math import comb
-
 from gwcalc import cli, qring
 from gwcalc.engine import _wdvv_checks
 from gwcalc.qring import _grassmannian_checks, _ring_checks, grassmannian_lift
