@@ -17,8 +17,7 @@ _HOME = {
         "engine": "GWTable SolveError TableDepthError fano3_numbers fano3_solve gw_invariant "
         "nd_plane nd_plane_numbers standard_seeds standard_table wdvv_canonical_equations "
         "wdvv_count wdvv_solve",
-        "model": "FanoModel ModelError builtin_model expected_dimension load_model "
-        "model_from_dict save_model",
+        "model": "FanoModel ModelError builtin_model load_model model_from_dict save_model",
         "potential": "PotentialBundle build_potential f_bracket wdvv_residual",
         "qring": "PresentationIdeal QuantumRing big_associator big_product "
         "grassmannian_presentation pr_presentation presentation_from_big s_r_determinant "

@@ -12,7 +12,7 @@ on each side, pointwise; it is the oracle of the potential's brackets.
 the four-point linear equivalence with a generic curve of incidence
 conditions itemizes, datum type by datum type, into products of counts, and
 equality of the two sides is exactly the degree-d recursion.  The totals
-pair every class split with its mirror; the items are built only when read.
+pair every class split with its mirror.
 """
 
 from __future__ import annotations
@@ -130,65 +130,8 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
 # ---------------------------------------------------------------------------
 
 
-class CountSide:
-    """One side of the boundary equivalence cut with the incidence curve.
-
-    ``terms`` holds (d1, d2, partitions, weight, value) per item, d1 = 0 for the
-    ``contracted`` datum; it and ``items`` are built only when read, from the
-    ``counts`` (0, N_1, ..., N_d), the binomial ``row`` of 3d - 4 and the
-    ``power`` p of the weight d1^p d2^(4-p), with C(3d-4, 3d1+p-4) partitions.
-    """
-
-    __setattr__ = __delattr__ = refuse_assignment
-    __eq__, __hash__ = value_eq, value_hash
-
-    def __init__(
-        self,
-        label: str,
-        total: int,
-        contracted: tuple[tuple[int, int, int, int, int], ...],
-        counts: tuple[int, ...],
-        row: tuple[int, ...],
-        power: int,
-    ) -> None:
-        self.__dict__.update(
-            label=label, total=total, contracted=contracted, counts=counts, row=row, power=power
-        )
-
-    @property
-    def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        d, p, splits = len(self.counts) - 1, self.power, []
-        for d1 in range(1, d):
-            parts, weight = self.row[3 * d1 + p - 4], d1 ** p * (d - d1) ** (4 - p)
-            value = self.counts[d1] * self.counts[d - d1] * weight * parts
-            splits.append((d1, d - d1, parts, weight, value))
-        return self.contracted + tuple(splits)
-
-    @property
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (f"split {d1}+{d2}, {parts} partitions of weight {weight}" if d1
-             else "contracted side through the two line markings", value)
-            for d1, d2, parts, weight, value in self.terms
-        )
-
-
-class IntersectionCounts:
-    """Both sides of the plane's boundary equivalence at one degree."""
-
-    __setattr__ = __delattr__ = refuse_assignment
-    __eq__, __hash__ = value_eq, value_hash
-
-    def __init__(self, degree: int, markings: int, lhs: CountSide, rhs: CountSide) -> None:
-        self.__dict__.update(degree=degree, markings=markings, lhs=lhs, rhs=rhs)
-
-    @property
-    def balanced(self) -> bool:
-        return self.lhs.total == self.rhs.total
-
-
-def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
-    """Evaluate both sides of the plane's boundary equivalence at degree d.
+def intersection_counts(d: int, table: GWTable) -> tuple[int, int]:
+    """Both sides (lhs, rhs) of the plane's boundary equivalence at degree d.
 
     With 3d markings (two on lines, the rest on points), one side picks up
     the degree-d count from the datum whose line-markings split off with the
@@ -197,12 +140,12 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
     binomials C(3d - 4, 3d1 - 1) and C(3d - 4, 3d1 - 2) over the 3d - 4
     interior markings, read from one binomial row of 3d - 4.  Both totals
     pair each split d1 + d2 with its mirror, so every product N_{d1} N_{d2}
-    is formed once; the items are built only when read.
+    is formed once.
     """
     if d < 2:
         raise ValueError("the equivalence is used for degree at least 2")
     counts = (0, *(table.get((e,), (3 * e - 1,)) for e in range(1, d + 1)))
-    row = tuple(binomial_row(3 * d - 4))
+    row = binomial_row(3 * d - 4)
     lhs, rhs = counts[d], 0
     for d1 in range(1, d // 2 + 1):
         d2 = d - d1
@@ -213,12 +156,7 @@ def intersection_counts(d: int, table: GWTable) -> IntersectionCounts:
             rhs_weight += d2 ** 2 * d1 ** 2 * row[3 * d2 - 2]
         pair = counts[d1] * counts[d2]
         lhs, rhs = lhs + pair * lhs_weight, rhs + pair * rhs_weight
-    return IntersectionCounts(
-        degree=d,
-        markings=3 * d,
-        lhs=CountSide("lines with lines", lhs, ((0, d, 1, 1, counts[d]),), counts, row, 3),
-        rhs=CountSide("lines split across", rhs, (), counts, row, 2),
-    )
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +169,8 @@ def _boundary_equivalence_checks(table: GWTable, d_max: int):
     is summed once."""
     checks = []
     for d in range(2, d_max + 1):
-        counts = intersection_counts(d, table)
-        detail = f"lhs={counts.lhs.total} rhs={counts.rhs.total}"
-        checks.append((f"boundary-equivalence-d{d}", counts.balanced, detail))
+        lhs, rhs = intersection_counts(d, table)
+        checks.append((f"boundary-equivalence-d{d}", lhs == rhs, f"lhs={lhs} rhs={rhs}"))
     return checks
 
 

@@ -5,7 +5,7 @@ consumes: a graded basis T_0..T_m (T_0 the unit, T_1..T_p the divisor
 classes), the Poincare pairing and its exact inverse, the classical triple
 products, and the lattice of effective curve classes.  Effective classes are
 non-negative integer vectors in the basis dual to T_1..T_p; each generator
-carries its anticanonical degree, which is at least 2.
+carries its anticanonical degree, which is at least 1.
 
 Models carry only their seeds, the few counts the associativity equations
 start from; every other count lives in tables produced by the engine.  A
@@ -22,7 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .series import MultiIndex, SeriesBounds, compositions, refuse_assignment, row_reduce
+from .series import MultiIndex, SeriesBounds, refuse_assignment, row_reduce
 
 
 class ModelError(ValueError):
@@ -132,10 +132,10 @@ class FanoModel:
         if len(effective_c1) != p:
             raise ModelError("need exactly one effective generator per divisor class")
         for dual, c1 in enumerate(effective_c1, 1):
-            if c1 < 2:
+            if c1 < 1:
                 raise ModelError(
                     f"effective generator dual to T_{dual} has anticanonical degree "
-                    f"{c1}; non-constant rational curves force at least 2"
+                    f"{c1}; the anticanonical class is ample, so every curve has at least 1"
                 )
 
         keys = [(beta, n) for beta, n, _ in seeds]
@@ -198,9 +198,6 @@ class FanoModel:
     def codim(self, i: int) -> int:
         return self.codims[i]
 
-    def g(self, i: int, j: int) -> int:
-        return self.pairing[i][j]
-
     def g_inv(self, i: int, j: int) -> int | Fraction:
         return self.pairing_inverse[i][j]
 
@@ -215,10 +212,6 @@ class FanoModel:
 
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(c * d for c, d in zip(self.effective_c1, beta))
-
-    def effective_classes(self, c1_max: int) -> list[MultiIndex]:
-        """All effective classes with anticanonical degree at most c1_max."""
-        return sorted(b for c1 in range(c1_max + 1) for b in compositions(self.effective_c1, c1))
 
     def insertion_weights(self) -> tuple[int, ...]:
         """codim(T_i) - 1 for the non-divisor classes, the degree weights of
@@ -282,11 +275,6 @@ class FanoModel:
                 {"class": list(b), "insertions": list(n), "value": v} for b, n, v in self.seeds
             ],
         }
-
-
-def expected_dimension(model: FanoModel, beta: MultiIndex, n: int) -> int:
-    """Dimension of the space of n-pointed rational maps in class beta."""
-    return model.dimension + model.c1_degree(beta) + n - 3
 
 
 # ---------------------------------------------------------------------------

@@ -475,22 +475,25 @@ def _grassmannian_checks(p: int, n: int):
     except ArithmeticError as exc:
         return [("gr-presentation-rank", False, str(exc))]
 
-    s_r = {r: s_r_determinant(p, n, r) for r in range(p, n + 1)}
-    top = ideal.normal_form(grassmannian_lift(s_r[n], n))
+    # the relations are the lifted S_(p+1)..S_(n-1), then S_n + (-1)^k q
+    q_poly = ideal.variable(k)
+    s_r = dict(zip(range(p + 1, n), ideal.relations[:-1]))
+    s_r[n] = ideal.relations[-1] - q_poly.scale((-1) ** k)
+    s_r[p] = grassmannian_lift(s_r_determinant(p, n, p), n)
+    top = ideal.normal_form(s_r[n])
     classical_ok = top.coeffs == {(0,) * k + (1,): -((-1) ** k)} and all(
-        ideal.reduces_to_zero(grassmannian_lift(s_r[r], n)) for r in range(p + 1, n)
+        ideal.reduces_to_zero(s_r[r]) for r in range(p + 1, n)
     )
     checks.append(("gr-classical-relations", classical_ok, "S_i vanish at q=0"))
 
     identity = s_r[n]
     for i in range(1, k + 1):
-        term = s_r[n - i] * GradedPoly.variable(identity.degrees, i - 1)
+        term = s_r[n - i] * ideal.variable(i - 1)
         identity = identity + term.scale((-1) ** i)
     checks.append(("gr-alternating-identity", identity.is_zero(), "formal identity"))
 
     sigma_k = ideal.variable(k - 1)
-    product = ideal.normal_form(sigma_k * grassmannian_lift(s_r[p], n))
-    q_poly = ideal.variable(k)
+    product = ideal.normal_form(sigma_k * s_r[p])
     seed_ok = product == ideal.normal_form(q_poly)
     checks.append(("gr-seed-product", seed_ok, "sigma_k * sigma_(1^p) = q"))
     return checks

@@ -471,11 +471,6 @@ class GradedPoly:
             accumulate(coeffs, ((index_add(m1, m2), c2) for m2, c2 in other.coeffs.items()), c1)
         return GradedPoly(self.degrees, coeffs)
 
-    def set_var_to_zero(self, index: int) -> "GradedPoly":
-        """Specialize one variable to zero (drop every term containing it)."""
-        coeffs = {m: c for m, c in self.coeffs.items() if m[index] == 0}
-        return GradedPoly(self.degrees, coeffs)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

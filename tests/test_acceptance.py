@@ -201,7 +201,7 @@ def test_criterion_08_small_rings():
     s1, s2, q = ideal.variable(0), ideal.variable(1), ideal.variable(2)
     ok = ok and ideal.reduces_to_zero(grassmannian_lift(s_r_determinant(2, 4, 3), 4))
     top = ideal.normal_form(grassmannian_lift(s_r_determinant(2, 4, 4), 4))
-    ok = ok and top.set_var_to_zero(2).is_zero()
+    ok = ok and all(mono[2] for mono in top.coeffs)  # no q-free term
     identity = s_r_determinant(2, 4, 4)
     sign = -1
     for i in range(1, 3):
@@ -215,7 +215,7 @@ def test_criterion_08_small_rings():
 
 def test_criterion_09_boundary_equivalence():
     table = nd_plane(6)
-    ok = all(intersection_counts(d, table).balanced for d in range(2, 7))
+    ok = all(lhs == rhs for lhs, rhs in (intersection_counts(d, table) for d in range(2, 7)))
     report("09 boundary linear equivalence reproduces the recursion", ok)
 
 

@@ -6,7 +6,7 @@ from gwcalc import (
     intersection_counts,
     nd_plane,
 )
-from gwcalc.boundary import CountSide, _boundary_equivalence_checks, _brute_force_boundary
+from gwcalc.boundary import _boundary_equivalence_checks, _brute_force_boundary
 from gwcalc.engine import TableDepthError
 from gwcalc.series import binomial_z
 
@@ -121,40 +121,38 @@ def test_d_sum_partition_counts_match_binomials():
 
 
 def test_intersection_counts_degree_two(plane_table):
-    counts = intersection_counts(2, plane_table)
+    lhs, rhs = intersection_counts(2, plane_table)
     n2 = plane_table.get((2,), (5,))
-    assert counts.lhs.total == n2 + 1
-    assert counts.rhs.total == 2
-    assert counts.balanced
+    assert lhs == n2 + 1
+    assert rhs == 2
+    assert lhs == rhs
 
 
 def test_intersection_counts_labels_on_read(plane_table):
-    # labels are formatted only when read; the itemized replay names each term
-    counts = intersection_counts(2, plane_table)
-    assert counts.lhs.items == (
-        ("contracted side through the two line markings", 1),
-        ("split 1+1, 1 partitions of weight 1", 1),
-    )
-    assert counts.rhs.items == (("split 1+1, 2 partitions of weight 1", 2),)
+    # the itemized replay: the contracted side through the two line markings,
+    # then one item per split d1 + d2, its value partitions * weight * N_d1 N_d2
+    lhs, rhs = eager_terms(2, plane_table)
+    assert [value for *_, value in lhs] == [1, 1]
+    assert [value for *_, value in rhs] == [2]
     # degree 3: C(5, 5) = 1 partition of weight 2^3 * 1, C(5, 4) = 5 of weight 2^2 * 1^2
-    counts = intersection_counts(3, plane_table)
-    assert counts.lhs.items[-1] == ("split 2+1, 1 partitions of weight 8", 8)
-    assert counts.rhs.items[-1] == ("split 2+1, 5 partitions of weight 4", 20)
-    assert counts.lhs.total == sum(value for _, value in counts.lhs.items) == 40
+    lhs, rhs = eager_terms(3, plane_table)
+    assert lhs[-1] == (2, 1, 1, 8, 8)
+    assert rhs[-1] == (2, 1, 5, 4, 20)
+    assert intersection_counts(3, plane_table)[0] == sum(value for *_, value in lhs) == 40
 
 
 def test_intersection_counts_match_through_degree_six(plane_table):
     for d in range(2, 7):
-        counts = intersection_counts(d, plane_table)
-        assert counts.balanced, f"degree {d}"
+        lhs, rhs = intersection_counts(d, plane_table)
+        assert lhs == rhs, f"degree {d}"
 
 
 def test_intersection_counts_forces_degree_two_count():
     # equality of the two sides pins the degree-2 count to 1
     table = nd_plane(2)
-    counts = intersection_counts(2, table)
-    lhs_without_nd = counts.lhs.total - table.get((2,), (5,))
-    assert counts.rhs.total - lhs_without_nd == 1
+    lhs, rhs = intersection_counts(2, table)
+    lhs_without_nd = lhs - table.get((2,), (5,))
+    assert rhs - lhs_without_nd == 1
 
 
 def test_intersection_counts_input_validation(plane_table):
@@ -185,11 +183,10 @@ def test_paired_totals_match_the_ordered_items():
     # odd and even degrees, so the self-mirrored split d1 = d2 is covered
     table = nd_plane(60)
     for d in range(2, 61):
-        counts = intersection_counts(d, table)
-        assert (counts.lhs.terms, counts.rhs.terms) == eager_terms(d, table), d
-        for side in (counts.lhs, counts.rhs):
-            assert side.total == sum(value for _, value in side.items), (d, side.label)
-        assert counts.balanced
+        totals = intersection_counts(d, table)
+        items = eager_terms(d, table)
+        assert totals == tuple(sum(value for *_, value in side) for side in items), d
+        assert totals[0] == totals[1], d
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 10])
@@ -199,11 +196,3 @@ def test_boundary_equivalence_fails_at_a_raised_count(d):
     checks = _boundary_equivalence_checks(table, 10)
     assert [name for name, ok, _ in checks if not ok][0] == f"boundary-equivalence-d{d}"
 
-
-def test_boundary_equivalence_totals_build_no_items(monkeypatch):
-    def refuse(side):
-        raise AssertionError(f"{side.label}: terms built")
-
-    monkeypatch.setattr(CountSide, "terms", property(refuse))
-    checks = _boundary_equivalence_checks(nd_plane(30), 30)
-    assert len(checks) == 29 and all(ok for _, ok, _ in checks)

@@ -467,8 +467,7 @@ def _one_count_system(known, level, quads):
     model = known.model
     unknowns = [
         (beta, n)
-        for beta in model.effective_classes(level)
-        if model.c1_degree(beta) == level
+        for beta in sorted(compositions(model.effective_c1, level))
         for n in compositions(model.insertion_weights(), model.dimension + level - 3)
         if (beta, n) not in known.entries
     ]

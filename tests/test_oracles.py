@@ -14,6 +14,7 @@ from gwcalc.engine import GWTable, _wdvv_checks, standard_seeds, standard_table,
 from gwcalc.potential import build_potential
 from gwcalc.qring import PresentationIdeal, grassmannian_presentation
 from gwcalc.series import GradedPoly
+from test_series import set_var_to_zero
 
 # P^1 x P^2 in the basis 1, h1, h2, h1*h2, h2^2, pt.  The seeds: one line of
 # the P^1 ruling through a point, one line of a P^2 fiber through a point and
@@ -62,6 +63,67 @@ Q3_HYPERPLANE = {
     ],
     "effective": [{"dual_divisor_index": 1, "c1_degree": 3}],
     "seeds": [{"class": [1], "insertions": [1, 1], "value": 2}],
+}
+
+
+# Two blow-ups of the plane, where the exceptional curve E has c1.E = 1.
+# F_1 in the basis 1, F, H, pt (F the fiber H - E): the generators are E,
+# dual to F, and F, dual to H, so dH is the class (d, d) and dH - E is
+# (d - 1, d).  The seeds: the one curve E, and one fiber through a point.
+F1 = {
+    "name": "f1",
+    "dimension": 2,
+    "basis": [
+        {"name": name, "codim": codim}
+        for name, codim in [("T0", 0), ("F", 1), ("H", 1), ("pt", 2)]
+    ],
+    "pairing": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]],
+    "triples": [
+        {"i": 0, "j": 0, "k": 3, "value": 1},
+        {"i": 0, "j": 1, "k": 2, "value": 1},
+        {"i": 0, "j": 2, "k": 2, "value": 1},
+    ],
+    "effective": [
+        {"dual_divisor_index": 1, "c1_degree": 1},
+        {"dual_divisor_index": 2, "c1_degree": 2},
+    ],
+    "seeds": [
+        {"class": [1, 0], "insertions": [0], "value": 1},
+        {"class": [0, 1], "insertions": [1], "value": 1},
+    ],
+}
+
+
+# The plane blown up in two points, in the basis 1, H - E1, H - E2, H, pt:
+# the generators E1, E2 and H - E1 - E2, each with c1 = 1, are dual to the
+# three divisors in order, so dH is (d, d, d), dH - E1 is (d - 1, d, d) and
+# dH - E1 - E2 is (d - 1, d - 1, d).  Each generator is one rigid curve.
+BL2P2 = {
+    "name": "bl2p2",
+    "dimension": 2,
+    "basis": [
+        {"name": name, "codim": codim}
+        for name, codim in [("T0", 0), ("H-E1", 1), ("H-E2", 1), ("H", 1), ("pt", 2)]
+    ],
+    "pairing": [
+        [0, 0, 0, 0, 1],
+        [0, 0, 1, 1, 0],
+        [0, 1, 0, 1, 0],
+        [0, 1, 1, 1, 0],
+        [1, 0, 0, 0, 0],
+    ],
+    "triples": [
+        {"i": 0, "j": 0, "k": 4, "value": 1},
+        {"i": 0, "j": 1, "k": 2, "value": 1},
+        {"i": 0, "j": 1, "k": 3, "value": 1},
+        {"i": 0, "j": 2, "k": 3, "value": 1},
+        {"i": 0, "j": 3, "k": 3, "value": 1},
+    ],
+    "effective": [{"dual_divisor_index": i, "c1_degree": 1} for i in (1, 2, 3)],
+    "seeds": [
+        {"class": beta, "insertions": [0], "value": 1}
+        for beta in ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+    ],
 }
 
 
@@ -159,6 +221,39 @@ def test_p1xp2_ruling_lines(p1xp2_report):
     assert values[(2, 0, 0, 0, 2)] == 0
 
 
+# -- blow-ups of the plane: curves through a blown-up point --------------------
+
+
+def test_f1_counts_are_plane_counts():
+    # a curve of class dH misses E, and one of class dH - E passes once
+    # through the blown-up point: both are plane curves through 3d - 1 points
+    table = standard_table(model_from_dict(F1), 18)
+    assert len(table.entries) == 99
+    plane = nd_plane_numbers(6)
+    assert {d: table.get((d, d), (3 * d - 1,)) for d in plane} == plane
+    assert {d: table.get((d - 1, d), (3 * d - 2,)) for d in plane} == plane
+
+
+def test_bl2p2_counts_are_plane_counts():
+    table = standard_table(model_from_dict(BL2P2), 12)
+    assert len(table.entries) == 454
+    for d, value in nd_plane_numbers(4).items():
+        assert table.get((d, d, d), (3 * d - 1,)) == value, d
+        assert table.get((d - 1, d, d), (3 * d - 2,)) == value, d
+        assert table.get((d - 1, d - 1, d), (3 * d - 3,)) == value, d
+    # dH - 2E1 misses E2, so it counts what dH - 2E counts on F_1
+    f1 = standard_table(model_from_dict(F1), 10)
+    for d in range(2, 5):
+        assert table.get((d - 2, d, d), (3 * d - 3,)) == f1.get((d - 2, d), (3 * d - 3,)), d
+
+
+@pytest.mark.parametrize("data, c1_max", [(F1, 12), (BL2P2, 9)], ids=["f1", "bl2p2"])
+def test_blown_up_planes_pass_the_residual_sweep(data, c1_max):
+    table = standard_table(model_from_dict(data), c1_max)
+    checks = _wdvv_checks(build_potential(table, c1_max))
+    assert checks and all(ok for _, ok, _ in checks), checks
+
+
 # -- lines in P^r by Schubert calculus ----------------------------------------
 
 
@@ -204,7 +299,7 @@ def test_projective_lines_match_the_grassmannian_ring(r):
     # sigma_2^3 and sigma_3^2 and the q-free part is not the classical one
     q = len(quantum.degrees) - 1
     ring = PresentationIdeal(
-        quantum.degrees, tuple(relation.set_var_to_zero(q) for relation in quantum.relations)
+        quantum.degrees, tuple(set_var_to_zero(relation, q) for relation in quantum.relations)
     )
     point = ring.normal_form(ring.variable(r - 2) * ring.variable(r - 2))
     assert not point.is_zero()

@@ -18,6 +18,7 @@ from gwcalc import (
     wdvv_solve,
 )
 from gwcalc.series import GWSeries
+from test_model import effective_classes
 
 
 def test_gamma_coefficients_are_counts(plane_potential):
@@ -59,7 +60,7 @@ def test_phi_with_unit_index_is_pairing(q3, q3_potential):
     for j in range(4):
         for k in range(4):
             assert q3_potential.phi(0, j, k) == GWSeries.constant(
-                q3_potential.bounds, q3.g(j, k)
+                q3_potential.bounds, q3.pairing[j][k]
             )
 
 
@@ -222,7 +223,7 @@ def _bracket_oracle(model, table, c1_max):
     total = bundle.bounds.max_total
     keys = [
         (beta, n)
-        for beta in model.effective_classes(c1_max)
+        for beta in effective_classes(model, c1_max)
         for n in itertools.product(range(total + 1), repeat=bundle.bounds.n_vars)
         if sum(n) <= total
     ]
