@@ -160,25 +160,15 @@ class SeriesBounds:
     def c1_degree(self, beta: MultiIndex) -> int:
         return sum(map(mul, self.beta_weights, beta))
 
-    def in_bounds(self, beta: MultiIndex, n: MultiIndex) -> bool:
-        return self.c1_degree(beta) <= self.max_c1 and total_degree(n) <= self.max_total
-
-    def check_key(self, beta: MultiIndex, n: MultiIndex) -> None:
-        if len(beta) != len(self.beta_weights) or len(n) != self.n_vars:
-            raise ValueError(
-                f"key arity ({len(beta)}, {len(n)}) does not match bounds "
-                f"({len(self.beta_weights)}, {self.n_vars})"
-            )
-        if any(x < 0 for x in beta) or any(x < 0 for x in n):
-            raise ValueError("series keys must be non-negative")
-
 
 class GWSeries:
     """Truncated divided-power series with exact ``int | Fraction`` coefficients.
 
     Immutable after construction, compared by value and unhashable; zero
-    coefficients are never stored.  The constructors take only ints and
-    Fractions, and every operation keeps an int series int, so a Fraction
+    coefficients are never stored.  ``GWSeries(bounds, coeffs)`` takes a map
+    whose keys are in bounds and whose values are nonzero ints or Fractions,
+    and checks none of that; ``constant`` and ``scale`` refuse anything but an
+    int or a Fraction.  Every operation keeps an int series int, so a Fraction
     appears only where one was put in.
     """
 
@@ -191,20 +181,6 @@ class GWSeries:
         self.__dict__.update(bounds=bounds, coeffs={} if coeffs is None else coeffs)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        bounds: SeriesBounds,
-        terms: Mapping[Key, Coefficient] | Iterable[tuple[Key, Coefficient]],
-    ) -> "GWSeries":
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        for (beta, n), value in items:
-            bounds.check_key(beta, n)
-            if not bounds.in_bounds(beta, n):
-                raise ValueError(f"key {(beta, n)} exceeds truncation bounds")
-            _exact(value)
-        return cls(bounds, accumulate({}, items))
 
     @classmethod
     def zero(cls, bounds: SeriesBounds) -> "GWSeries":
@@ -224,9 +200,6 @@ class GWSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def terms(self) -> list[tuple[Key, Coefficient]]:
-        return sorted(self.coeffs.items())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -391,15 +364,6 @@ class GradedPoly:
             if value == 0:
                 raise ValueError("zero coefficients must not be stored")
         self.__dict__.update(degrees=degrees, coeffs=coeffs)
-
-    @classmethod
-    def build(
-        cls,
-        degrees: tuple[int, ...],
-        terms: Mapping[MultiIndex, int] | Iterable[tuple[MultiIndex, int]],
-    ) -> "GradedPoly":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        return cls(degrees, accumulate({}, ((tuple(mono), value) for mono, value in items)))
 
     @classmethod
     def zero(cls, degrees: tuple[int, ...]) -> "GradedPoly":

@@ -7,6 +7,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
 from gwcalc.cli import main
@@ -245,6 +247,33 @@ def test_bl2p2_counts_are_plane_counts():
     f1 = standard_table(model_from_dict(F1), 10)
     for d in range(2, 5):
         assert table.get((d - 2, d, d), (3 * d - 3,)) == f1.get((d - 2, d), (3 * d - 3,)), d
+
+
+@pytest.mark.parametrize(
+    "model_data, top, classes",
+    [
+        (F1, 18, lambda d: [(d, d), (d - 1, d)]),
+        (BL2P2, 12, lambda d: [(d, d, d), (d - 1, d, d), (d - 1, d - 1, d)]),
+    ],
+    ids=["f1", "bl2p2"],
+)
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_blown_up_planes_count_plane_curves_at_any_bound(model_data, top, classes, data):
+    # dH, dH - E1 and dH - E1 - E2 have c1 = 3d, 3d - 1 and 3d - 2, and a
+    # class of c1-degree c counts curves through c - 1 points
+    c1_max = data.draw(st.integers(0, top), label="c1_max")
+    model = model_from_dict(model_data)
+    table = standard_table(model, c1_max)
+    reached = [
+        (beta, value)
+        for d, value in nd_plane_numbers(top // 3).items()
+        for beta in classes(d)
+        if model.c1_degree(beta) <= c1_max
+    ]
+    assert len(reached) == sum((c1_max + j) // 3 for j in range(len(classes(1))))
+    for beta, value in reached:
+        assert table.entries[(beta, (model.c1_degree(beta) - 1,))] == value, beta
 
 
 @pytest.mark.parametrize("data, c1_max", [(F1, 12), (BL2P2, 9)], ids=["f1", "bl2p2"])
