@@ -18,7 +18,6 @@ import json
 import sys
 
 from .engine import (
-    GWTable,
     SolveError,
     TableDepthError,
     _wdvv_checks,
@@ -38,7 +37,8 @@ from .potential import build_potential
 
 
 class Report:
-    """Uniform result structure rendered by every output format."""
+    """Uniform result structure rendered by every output format; each format
+    emits the rows in sorted key order, whatever order they were added in."""
 
     def __init__(
         self,
@@ -126,13 +126,6 @@ def _require_dmax(args: argparse.Namespace) -> int:
     return args.dmax
 
 
-def _table_rows(table: GWTable) -> list[tuple[tuple[int, ...], int]]:
-    return [
-        (tuple(beta) + tuple(n), value)
-        for (beta, n), value in table.sorted_items()
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -141,7 +134,7 @@ def _table_rows(table: GWTable) -> list[tuple[tuple[int, ...], int]]:
 def _cmd_nd(args: argparse.Namespace) -> Report:
     d_max = _require_dmax(args)
     table = nd_plane(d_max)
-    rows = [((d,), table.get((d,), (3 * d - 1,))) for d in range(1, d_max + 1)]
+    rows = [(beta, value) for (beta, _), value in table.entries.items()]
     report = Report("p2", "nd", {"dmax": d_max}, ["d"], rows)
     if args.check:
         from .boundary import _boundary_equivalence_checks
@@ -153,7 +146,7 @@ def _cmd_nd(args: argparse.Namespace) -> Report:
 def _cmd_fano3(args: argparse.Namespace) -> Report:
     d_max = _require_dmax(args)
     table = fano3_solve(args.space, d_max)
-    rows = [(n, value) for (_, n), value in table.sorted_items()]
+    rows = [(n, value) for (_, n), value in table.entries.items()]
     report = Report(args.space, "fano3", {"dmax": d_max}, ["a", "b"], rows)
     if args.check:
         # the associativity residuals are a second route to the same numbers
@@ -193,9 +186,8 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
     p = model.divisor_count
     q = len(model.nondivisor_indices)
     names = [f"b{i+1}" for i in range(p)] + [f"n{i+1}" for i in range(q)]
-    report = Report(
-        model.name, "solve", {"dmax": d_max, "c1max": c1_max}, names, _table_rows(table)
-    )
+    rows = [(beta + n, value) for (beta, n), value in table.entries.items()]
+    report = Report(model.name, "solve", {"dmax": d_max, "c1max": c1_max}, names, rows)
     if args.check:
         bundle = build_potential(table, table.c1_max)
         report.checks.extend(_wdvv_checks(bundle))
@@ -211,9 +203,9 @@ def _cmd_qring(args: argparse.Namespace) -> Report:
     ring = small_ring(table)
     rows = []
     p = len(ring.q_degrees)
-    for (i, j), expansion in sorted(ring.constants.items()):
-        for f, poly in sorted(expansion.items()):
-            for mono, coeff in poly.terms():
+    for (i, j), expansion in ring.constants.items():
+        for f, poly in expansion.items():
+            for mono, coeff in poly.coeffs.items():
                 rows.append(((i, j, f) + mono, coeff))
     names = ["i", "j", "f"] + [f"q{t+1}" for t in range(p)]
     return Report(model.name, "qring", {"c1max": c1_max}, names, rows)

@@ -77,9 +77,6 @@ class GWTable:
             f"table for {self.model.name} is missing in-coverage key {key}"
         )
 
-    def sorted_items(self) -> list[tuple[TableKey, int]]:
-        return sorted(self.entries.items())
-
 
 # ---------------------------------------------------------------------------
 # Axiom-based reduction of invariants

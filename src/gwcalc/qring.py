@@ -155,8 +155,7 @@ class PresentationIdeal:
     The quotient's graded pieces are computed degree by degree: the span of
     monomial multiples of the relations is eliminated over the rationals and
     every monomial is rewritten in the surviving monomial basis.  Reductions
-    of integer polynomials are required to stay integral.  Two ideals are
-    equal when their degrees and relations are, whatever each has reduced.
+    of integer polynomials are required to stay integral.
     """
 
     def __init__(self, degrees: tuple[int, ...], relations: tuple[GradedPoly, ...]) -> None:
@@ -169,11 +168,6 @@ class PresentationIdeal:
         self._cache: dict[
             int, tuple[list[MultiIndex], dict[MultiIndex, dict[MultiIndex, Fraction]]]
         ] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PresentationIdeal:
-            return NotImplemented
-        return self.degrees == other.degrees and self.relations == other.relations
 
     def variable(self, index: int) -> GradedPoly:
         return GradedPoly.variable(self.degrees, index)
@@ -197,7 +191,7 @@ class PresentationIdeal:
         rewrite: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
         for lead, row in pivots.items():
             rewrite[monos[lead]] = {
-                monos[idx]: -value for idx, value in sorted(row.items()) if idx != lead
+                monos[idx]: -value for idx, value in row.items() if idx != lead
             }
         result = (basis, rewrite)
         self._cache[degree] = result

@@ -4,10 +4,11 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from gwcalc import builtin_model, cli, save_model
+from gwcalc import builtin_model, cli, engine, save_model
 from gwcalc.cli import Report, main
 from gwcalc.engine import GWTable, _wdvv_checks, standard_table
 from gwcalc.potential import build_potential
@@ -332,12 +333,16 @@ def test_csv_check_rows(capsys):
     assert "check:residual-A1122,pass" in out
 
 
-def _renamed_file(tmp_path, builtin, name):
+def _edited_file(tmp_path, builtin, edit):
     data = builtin_model(builtin).to_dict()
-    data["name"] = name
-    path = tmp_path / f"{name}.json"
+    edit(data)
+    path = tmp_path / f"{builtin}-edited.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def _renamed_file(tmp_path, builtin, name):
+    return _edited_file(tmp_path, builtin, lambda data: data.update(name=name))
 
 
 def _json_run(capsys, *argv):
@@ -402,6 +407,88 @@ def test_bad_triple_index_model_file(capsys, tmp_path, triple):
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run(capsys, "solve", "--model-file", str(path), "--dmax", "2")
     assert (code, out, err) == (2, "", f"error: triple {triple} has an index outside 0..2\n")
+
+
+def _seeds(*seeds):
+    def edit(data):
+        data["seeds"] = [{"class": c, "insertions": n, "value": v} for c, n, v in seeds]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "builtin, seeds, message",
+    [
+        # both line counts seeded, the second wrong (5, not 1): level 3 has
+        # no unknown left, and its first equation cannot vanish
+        ("q3", _seeds(([1], [1, 1], 1), ([1], [3, 0], 5)),
+         "inconsistent system at c1-degree 3 on q3: "
+         "equation (1, 1, 2, 2) at key ((1,), (0, 0)) cannot vanish"),
+        # a conic count alone leaves every line count free
+        ("p3", _seeds(([2], [0, 4], 0)),
+         "no unique solution at c1-degree 4 on p3: unknowns "
+         "[((1,), (0, 2)), ((1,), (2, 1)), ((1,), (4, 0))] are not determined"),
+    ],
+    ids=["inconsistent", "undetermined"],
+)
+def test_unsolvable_model_file_exits_1(capsys, tmp_path, builtin, seeds, message):
+    # runs main's exit-1 branch for a SolveError raised in wdvv_solve
+    path = _edited_file(tmp_path, builtin, seeds)
+    code, out, err = run(capsys, "solve", "--model-file", str(path), "--dmax", "2")
+    assert (code, out, err) == (1, "", f"failure: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        (Fraction(-1, 2), "non-integral solution 1/2 for ((2,), (5,))"),
+        (Fraction(1), "negative solution -1 for ((2,), (5,))"),
+    ],
+    ids=["non-integral", "negative"],
+)
+def test_solution_that_is_not_a_count_exits_1(capsys, monkeypatch, constant, message):
+    # No model file has been found whose unique solution is fractional or
+    # negative, so the reduction is patched to reach wdvv_solve's two raises:
+    # a solvable level's pivot rows cover its unknowns, and the constant
+    # column follows them.
+    reduce = engine.row_reduce
+
+    def patched(rows):
+        pivots, origin = reduce(rows)
+        for row in pivots.values():
+            row[len(pivots)] = constant
+        return pivots, origin
+
+    monkeypatch.setattr(engine, "row_reduce", patched)
+    code, out, err = run(capsys, "solve", "--model", "p2", "--dmax", "2")
+    assert (code, out, err) == (1, "", f"failure: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, edit, rule",
+    [
+        (("verify", "--suite", "wdvv", "--model", "gr24"), None,
+         "model gr24 supports only the rings suite"),
+        (("verify", "--suite", "boundary", "--model", "p3"), None,
+         "the boundary suite replays the plane argument; use --model p2"),
+        (("solve", "--dmax", "2"), None, "a model is required (--model or --model-file)"),
+        (("solve", "--dmax", "2"), lambda d: d.pop("dimension"), "malformed model data: 'dimension'"),
+        (("solve", "--dmax", "2"),
+         lambda d: d["effective"].append({"dual_divisor_index": 2, "c1_degree": 3}),
+         "need exactly one effective generator per divisor class"),
+        (("solve", "--dmax", "2"), lambda d: d["basis"][0].update(codim=1),
+         "basis must start with the unit class of codimension 0"),
+    ],
+    ids=["grassmannian-suite", "boundary-off-the-plane", "no-model", "no-dimension",
+         "extra-generator", "divisor-first"],
+)
+def test_refused_invocation_exits_2_naming_its_rule(capsys, tmp_path, argv, edit, rule):
+    # each case reaches a raise that no other test reaches: _cmd_verify's two
+    # suite refusals, _resolve_model's missing model, and model_from_dict's
+    # malformed-data wrap, FanoModel's generator count and its unit-first rule
+    if edit is not None:
+        argv += ("--model-file", str(_edited_file(tmp_path, "p2", edit)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {rule}\n")
 
 
 def test_verify_labels_the_resolved_model(capsys, tmp_path):
