@@ -84,6 +84,9 @@ class FanoModel:
             raise ModelError(
                 f"basis needs one name per class: {len(basis_names)} names for {rank} classes"
             )
+        for index, label in enumerate(basis_names):
+            if not isinstance(label, str):
+                raise ModelError(f"basis class {index} has name {label!r}, not a string")
         if rank == 0 or codims[0] != 0:
             raise ModelError("basis must start with the unit class of codimension 0")
         if codims.count(0) != 1:
@@ -365,19 +368,25 @@ def model_from_dict(data: dict) -> FanoModel:
     indices are checked once the model is built, against its divisor count,
     so a basis fault that changes that count is reported as a basis fault.
     """
+    field = None
     try:
+        field = "basis"
         basis = [(entry["name"], _integer(entry["codim"], "codim")) for entry in data["basis"]]
+        field = "pairing"
         pairing = [[_integer(v, "pairing entry") for v in row] for row in data["pairing"]]
+        field = "triples"
         triples = {
             tuple(_integer(t[x], f"triple {x}") for x in "ijk"):
                 _integer(t["value"], "triple value")
             for t in data.get("triples", [])
         }
+        field = "effective"
         effective = [
             (_integer(e["dual_divisor_index"], "dual_divisor_index"),
              _integer(e["c1_degree"], "c1_degree"))
             for e in data["effective"]
         ]
+        field = "seeds"
         seeds = [
             (tuple(_integer(x, "seed class entry") for x in s["class"]),
              tuple(_integer(x, "seed insertions entry") for x in s["insertions"]),
@@ -385,9 +394,12 @@ def model_from_dict(data: dict) -> FanoModel:
             for s in data.get("seeds", [])
         ]
         name = str(data.get("name", "user"))
+        field = "dimension"
         dimension = _integer(data["dimension"], "dimension")
     except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed model data: {exc}") from exc
+        # a missing top-level key is named by the KeyError alone
+        where = f" in {field}" if isinstance(data, dict) and field in data else ""
+        raise ModelError(f"malformed model data{where}: {exc}") from exc
     duals = [dual for dual, _ in effective]
     if sorted(duals) == list(range(1, len(duals) + 1)):
         effective.sort()

@@ -243,45 +243,27 @@ def pr_presentation(r: int) -> PresentationIdeal:
 
 
 def s_r_determinant(p: int, n: int, r: int) -> GradedPoly:
-    """The r x r determinant det(sigma_{1+j-i}) in sigma_1..sigma_{n-p}.
+    """The r x r determinant S_r = det(sigma_{1+j-i}) in the presentation ring
+    of the Grassmannian of p-planes in n-space, where q of degree n follows
+    sigma_1..sigma_{n-p}.
 
-    sigma_0 is 1 and sigma_i vanishes for i < 0 or i > n-p; the result is
-    homogeneous of degree r.
+    sigma_0 is 1 and sigma_i vanishes for i < 0 or i > n-p, so the matrix is
+    Hessenberg and its first-row minors are triangular: S_r is the sum of
+    (-1)^(i-1) sigma_i S_(r-i) over i <= n-p, from S_0 = 1.  The result is
+    homogeneous of degree r and free of q.
     """
     k = n - p
     if k < 1:
         raise ValueError("need p < n")
-    degrees = tuple(range(1, k + 1))
-
-    def entry(value: int) -> GradedPoly:
-        if value == 0:
-            return GradedPoly.constant(degrees, 1)
-        if value < 0 or value > k:
-            return GradedPoly.zero(degrees)
-        return GradedPoly.variable(degrees, value - 1)
-
-    matrix = [[entry(1 + j - i) for j in range(r)] for i in range(r)]
-    return _determinant(matrix, degrees)
-
-
-def _determinant(matrix, degrees) -> GradedPoly:
-    size = len(matrix)
-    if size == 0:
-        return GradedPoly.constant(degrees, 1)
-    if size == 1:
-        return matrix[0][0]
-    total = GradedPoly.zero(degrees)
-    for col in range(size):
-        factor = matrix[0][col]
-        if factor.is_zero():
-            continue
-        minor = [
-            [row[c] for c in range(size) if c != col]
-            for row in matrix[1:]
-        ]
-        term = factor * _determinant(minor, degrees)
-        total = total + (term if col % 2 == 0 else -term)
-    return total
+    degrees = tuple(range(1, k + 1)) + (n,)
+    s = [GradedPoly.constant(degrees, 1)]
+    for m in range(1, r + 1):
+        total = GradedPoly.zero(degrees)
+        for i in range(1, min(m, k) + 1):
+            term = GradedPoly.variable(degrees, i - 1) * s[m - i]
+            total = total + (term if i % 2 else -term)
+        s.append(total)
+    return s[r]
 
 
 def _box_betti(p: int, k: int) -> list[int]:
@@ -292,12 +274,6 @@ def _box_betti(p: int, k: int) -> list[int]:
     for parts in combinations_with_replacement(range(k + 1), p):
         counts[sum(parts)] += 1
     return counts
-
-
-def grassmannian_lift(poly: GradedPoly, n: int) -> GradedPoly:
-    """A polynomial in sigma_1..sigma_{n-p}, moved into the presentation ring
-    of the Grassmannian in n-space, where q of degree n follows the sigmas."""
-    return GradedPoly(poly.degrees + (n,), {mono + (0,): c for mono, c in poly.coeffs.items()})
 
 
 def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
@@ -313,11 +289,9 @@ def grassmannian_presentation(p: int, n: int) -> PresentationIdeal:
     k = n - p
     if p * k > 6:
         raise ValueError("presentation supported up to p*(n-p) <= 6")
-    degrees = tuple(range(1, k + 1)) + (n,)
-    relations = [grassmannian_lift(s_r_determinant(p, n, r), n) for r in range(p + 1, n)]
-    q_mono = (0,) * k + (1,)
-    top = grassmannian_lift(s_r_determinant(p, n, n), n) + GradedPoly(degrees, {q_mono: (-1) ** k})
-    relations.append(top)
+    relations = [s_r_determinant(p, n, r) for r in range(p + 1, n + 1)]
+    degrees = relations[-1].degrees
+    relations[-1] = relations[-1] + GradedPoly.variable(degrees, k).scale((-1) ** k)
     ideal = PresentationIdeal(degrees, tuple(relations))
 
     # The quotient must be free of rank C(n,p) over the parameter, the number
@@ -469,11 +443,11 @@ def _grassmannian_checks(p: int, n: int):
     except ArithmeticError as exc:
         return [("gr-presentation-rank", False, str(exc))]
 
-    # the relations are the lifted S_(p+1)..S_(n-1), then S_n + (-1)^k q
+    # the relations are S_(p+1)..S_(n-1), then S_n + (-1)^k q
     q_poly = ideal.variable(k)
     s_r = dict(zip(range(p + 1, n), ideal.relations[:-1]))
     s_r[n] = ideal.relations[-1] - q_poly.scale((-1) ** k)
-    s_r[p] = grassmannian_lift(s_r_determinant(p, n, p), n)
+    s_r[p] = s_r_determinant(p, n, p)
     top = ideal.normal_form(s_r[n])
     classical_ok = top.coeffs == {(0,) * k + (1,): -((-1) ** k)} and all(
         ideal.reduces_to_zero(s_r[r]) for r in range(p + 1, n)

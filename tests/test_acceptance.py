@@ -29,7 +29,6 @@ from gwcalc import (
     wdvv_solve,
 )
 from gwcalc.boundary import _brute_force_boundary
-from gwcalc.qring import grassmannian_lift
 from gwcalc.series import GWSeries, binomial_z
 
 
@@ -199,8 +198,8 @@ def test_criterion_08_small_rings():
     )
     ok = ok and rank == 6
     s1, s2, q = ideal.variable(0), ideal.variable(1), ideal.variable(2)
-    ok = ok and ideal.reduces_to_zero(grassmannian_lift(s_r_determinant(2, 4, 3), 4))
-    top = ideal.normal_form(grassmannian_lift(s_r_determinant(2, 4, 4), 4))
+    ok = ok and ideal.reduces_to_zero(s_r_determinant(2, 4, 3))
+    top = ideal.normal_form(s_r_determinant(2, 4, 4))
     ok = ok and all(mono[2] for mono in top.coeffs)  # no q-free term
     identity = s_r_determinant(2, 4, 4)
     sign = -1

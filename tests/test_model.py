@@ -336,6 +336,15 @@ def test_model_numbers_must_be_exact_integers(p2, path, field, value):
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["basis", "pairing", "triples", "effective", "seeds"])
+def test_wrong_json_type_names_its_field(p2, field):
+    data = p2.to_dict()
+    data[field] = 5
+    text = f"malformed model data in {field}: 'int' object is not iterable"
+    with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+        model_from_dict(data)
+
+
 def _append(key, entry):
     return lambda data: data[key].append(entry)
 
@@ -365,11 +374,17 @@ def _append(key, entry):
         # a file lists each class's name and codim together, so only the
         # constructor can pass lists of different lengths
         ("p2", {"basis_names": ("T0",)}, "basis needs one name per class: 1 names for 3 classes"),
+        # a dict name would make the model unhashable
+        ("p2", {"basis_names": ("T0", {"a": 1}, "T2")},
+         "basis class 1 has name {'a': 1}, not a string"),
+        ("p2", lambda d: _set(d, ("basis", 1, "name"), {"a": 1}),
+         "basis class 1 has name {'a': 1}, not a string"),
     ],
     ids=[
         "basis-order", "two-units", "codim-above-dimension", "duality", "pairing-shape",
         "pairing-off-codimension", "conflicting-triple", "triple-codimension",
-        "dual-out-of-range", "duplicate-dual", "basis-names",
+        "dual-out-of-range", "duplicate-dual", "basis-names", "basis-name-type",
+        "basis-name-type-in-file",
     ],
 )
 def test_structural_fault_rejected(name, edit, text):

@@ -2,7 +2,7 @@ import io
 import itertools
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from gwcalc import (
 )
 from gwcalc import cli, qring
 from gwcalc.engine import _wdvv_checks
-from gwcalc.qring import _grassmannian_checks, _ring_checks, grassmannian_lift
+from gwcalc.qring import _grassmannian_checks, _ring_checks
 from gwcalc.series import GWSeries, GradedPoly, compositions
 
 
@@ -634,11 +634,11 @@ def test_pr_presentation_normal_forms():
 
 def test_s_r_determinant_basics():
     s1 = s_r_determinant(2, 4, 1)
-    assert s1.coeffs == {(1, 0): 1}
+    assert s1.coeffs == {(1, 0, 0): 1}
     s3 = s_r_determinant(2, 4, 3)
-    assert s3.coeffs == {(3, 0): 1, (1, 1): -2}
+    assert s3.coeffs == {(3, 0, 0): 1, (1, 1, 0): -2}
     s2 = s_r_determinant(2, 4, 2)
-    assert s2.coeffs == {(2, 0): 1, (0, 1): -1}
+    assert s2.coeffs == {(2, 0, 0): 1, (0, 1, 0): -1}
 
 
 def test_alternating_sum_identity():
@@ -671,6 +671,30 @@ def _box_partitions_by_size(p, k):
 
 # every Grassmannian the presentation supports: p(n - p) <= 6
 SMALL_GRASSMANNIANS = [(p, n) for n in range(2, 8) for p in range(1, n) if p * (n - p) <= 6]
+
+
+def _jacobi_trudi_cases():
+    for p, n in SMALL_GRASSMANNIANS:
+        k = n - p
+        alternating = tuple((-1) ** (j + 1) * (j + 2) for j in range(k))
+        points = [(1,) * k, tuple(range(2, k + 2)), alternating]
+        for r in range(n + 1):
+            for x in points:
+                yield pytest.param(p, n, r, x, id=f"gr{p}{n}-S{r}-at{x}".replace(" ", ""))
+
+
+@pytest.mark.parametrize("p, n, r, x", list(_jacobi_trudi_cases()))
+def test_s_r_determinant_is_complete_homogeneous(p, n, r, x):
+    # Jacobi-Trudi: with sigma_i = e_i(x_1..x_k), det(sigma_{1+j-i}) = h_r(x)
+    k = n - p
+    det = s_r_determinant(p, n, r)
+    assert det.homogeneous_degree() == r and all(mono[k] == 0 for mono in det.coeffs)
+    sigma = [sum(prod(c) for c in itertools.combinations(x, i)) for i in range(1, k + 1)]
+    value = sum(
+        coeff * prod(s ** e for s, e in zip(sigma, mono))
+        for mono, coeff in det.coeffs.items()
+    )
+    assert value == sum(prod(c) for c in itertools.combinations_with_replacement(x, r))
 
 
 def test_grassmannian_presentation_rank():
@@ -714,6 +738,21 @@ def test_grassmannian_checks_build_each_determinant_once(monkeypatch):
     assert sorted(calls) == [2, 3, 4, 5]
 
 
+def test_grassmannian_checks_multiply_at_most_34_times(monkeypatch):
+    # the first-row recurrence builds S_2..S_5 of Gr(2, 5) in 3 + 6 + 9 + 12
+    # products; the alternating identity and the seed product add 4
+    calls = []
+    multiply = GradedPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(GradedPoly, "__mul__", counting)
+    _grassmannian_checks(2, 5)
+    assert len(calls) <= 34
+
+
 def test_grassmannian_seed_product():
     ideal = grassmannian_presentation(2, 4)
     s1 = ideal.variable(0)
@@ -734,8 +773,8 @@ def test_grassmannian_point_class_cube():
 
 def test_grassmannian_classical_relations_at_q0():
     ideal = grassmannian_presentation(2, 4)
-    assert ideal.reduces_to_zero(grassmannian_lift(s_r_determinant(2, 4, 3), 4))
-    top = ideal.normal_form(grassmannian_lift(s_r_determinant(2, 4, 4), 4))
+    assert ideal.reduces_to_zero(s_r_determinant(2, 4, 3))
+    top = ideal.normal_form(s_r_determinant(2, 4, 4))
     assert all(mono[2] for mono in top.coeffs)  # no q-free term
     assert top.coeffs == {(0, 0, 1): -1}
 
