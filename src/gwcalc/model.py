@@ -360,6 +360,13 @@ def _integer(value: object, field: str) -> int:
     return value
 
 
+def _listed(value: object) -> object:
+    """A JSON list; an object is refused rather than read as its keys."""
+    if isinstance(value, dict):
+        raise TypeError("expected a list, got an object")
+    return value
+
+
 def model_from_dict(data: dict) -> FanoModel:
     """Build a validated model from the documented JSON structure.
 
@@ -371,27 +378,29 @@ def model_from_dict(data: dict) -> FanoModel:
     field = None
     try:
         field = "basis"
-        basis = [(entry["name"], _integer(entry["codim"], "codim")) for entry in data["basis"]]
+        basis = [
+            (entry["name"], _integer(entry["codim"], "codim")) for entry in _listed(data["basis"])
+        ]
         field = "pairing"
-        pairing = [[_integer(v, "pairing entry") for v in row] for row in data["pairing"]]
+        pairing = [[_integer(v, "pairing entry") for v in row] for row in _listed(data["pairing"])]
         field = "triples"
         triples = {
             tuple(_integer(t[x], f"triple {x}") for x in "ijk"):
                 _integer(t["value"], "triple value")
-            for t in data.get("triples", [])
+            for t in _listed(data.get("triples", []))
         }
         field = "effective"
         effective = [
             (_integer(e["dual_divisor_index"], "dual_divisor_index"),
              _integer(e["c1_degree"], "c1_degree"))
-            for e in data["effective"]
+            for e in _listed(data["effective"])
         ]
         field = "seeds"
         seeds = [
-            (tuple(_integer(x, "seed class entry") for x in s["class"]),
-             tuple(_integer(x, "seed insertions entry") for x in s["insertions"]),
+            (tuple(_integer(x, "seed class entry") for x in _listed(s["class"])),
+             tuple(_integer(x, "seed insertions entry") for x in _listed(s["insertions"])),
              s["value"])
-            for s in data.get("seeds", [])
+            for s in _listed(data.get("seeds", []))
         ]
         name = str(data.get("name", "user"))
         field = "dimension"

@@ -479,15 +479,17 @@ def test_solution_that_is_not_a_count_exits_1(capsys, monkeypatch, constant, mes
          "basis must start with the unit class of codimension 0"),
         (("solve", "--dmax", "2"), lambda d: d["basis"][1].update(name={"a": 1}),
          "basis class 1 has name {'a': 1}, not a string"),
+        (("solve", "--dmax", "2"), lambda d: d.update(seeds={}),
+         "malformed model data in seeds: expected a list, got an object"),
     ],
     ids=["grassmannian-suite", "boundary-off-the-plane", "no-model", "no-dimension",
-         "extra-generator", "divisor-first", "basis-name-type"],
+         "extra-generator", "divisor-first", "basis-name-type", "seeds-object"],
 )
 def test_refused_invocation_exits_2_naming_its_rule(capsys, tmp_path, argv, edit, rule):
     # each case reaches a raise that no other test reaches: _cmd_verify's two
     # suite refusals, _resolve_model's missing model, and model_from_dict's
-    # malformed-data wrap, FanoModel's generator count, its unit-first rule
-    # and its string basis names
+    # malformed-data wrap and list check, FanoModel's generator count, its
+    # unit-first rule and its string basis names
     if edit is not None:
         argv += ("--model-file", str(_edited_file(tmp_path, "p2", edit)))
     code, out, err = run(capsys, *argv)

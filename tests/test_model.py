@@ -345,6 +345,31 @@ def test_wrong_json_type_names_its_field(p2, field):
         model_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("basis", lambda d: d.update(basis={})),
+        ("pairing", lambda d: d.update(pairing={})),
+        ("triples", lambda d: d.update(triples={})),
+        ("effective", lambda d: d.update(effective={})),
+        ("seeds", lambda d: d.update(seeds={})),
+        ("seeds", lambda d: d.update(seeds={"a": 1})),
+        ("seeds", lambda d: d["seeds"][0].update({"class": {}})),
+        ("seeds", lambda d: d["seeds"][0].update(insertions={"2": 1})),
+    ],
+    ids=["basis", "pairing", "triples", "effective", "seeds", "seeds-nonempty",
+         "seed-class", "seed-insertions"],
+)
+def test_json_object_for_a_list_names_its_field(p2, field, edit):
+    # an object iterates as its keys, so read as a list it would load "seeds": {}
+    # as no seeds and report "triples": {} as a unit-law fault
+    data = p2.to_dict()
+    edit(data)
+    text = f"malformed model data in {field}: expected a list, got an object"
+    with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+        model_from_dict(data)
+
+
 def _append(key, entry):
     return lambda data: data[key].append(entry)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwcalc import builtin_model, model_from_dict, nd_plane_numbers
+from gwcalc import FanoModel, builtin_model, model_from_dict, nd_plane_numbers
 from gwcalc.cli import main
 from gwcalc.engine import GWTable, _wdvv_checks, standard_seeds, standard_table, wdvv_solve
 from gwcalc.potential import build_potential
@@ -281,6 +281,53 @@ def test_blown_up_planes_pass_the_residual_sweep(data, c1_max):
     table = standard_table(model_from_dict(data), c1_max)
     checks = _wdvv_checks(build_potential(table, c1_max))
     assert checks and all(ok for _, ok, _ in checks), checks
+
+
+# -- basis changes -------------------------------------------------------------
+
+
+def _permuted(model, order):
+    """The model in the basis T'_a = T_order[a], with the maps that carry a
+    class and an insertion multi-index into the new basis."""
+    p = model.divisor_count
+
+    def classes(beta):
+        return tuple(beta[i - 1] for i in order[1 : p + 1])
+
+    def insertions(n):
+        return tuple(n[i - p - 1] for i in order[p + 1 :])
+
+    position = {old: new for new, old in enumerate(order)}
+    permuted = FanoModel(
+        name=model.name,
+        dimension=model.dimension,
+        basis_names=tuple(model.basis_names[i] for i in order),
+        codims=tuple(model.codims[i] for i in order),
+        pairing=tuple(tuple(model.pairing[i][j] for j in order) for i in order),
+        triples={tuple(position[i] for i in key): v for key, v in model.triples.items()},
+        effective_c1=classes(model.effective_c1),
+        seeds=tuple((classes(beta), insertions(n), v) for beta, n, v in model.seeds),
+    )
+    return permuted, classes, insertions
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_basis_change_permutes_the_counts(data):
+    # relabelling the divisors among themselves, and the other classes among
+    # themselves, is a basis change: the counts are the same numbers, with
+    # their class and insertion entries relabelled
+    models = [builtin_model("p1xp1"), *map(model_from_dict, (P1XP2, F1, BL2P2))]
+    model = data.draw(st.sampled_from(models), label="model")
+    p = model.divisor_count
+    divisors = data.draw(st.permutations(range(1, p + 1)), label="divisors")
+    others = data.draw(st.permutations(range(p + 1, model.rank)), label="others")
+    c1_max = data.draw(st.integers(0, 8), label="c1_max")
+    permuted, classes, insertions = _permuted(model, (0, *divisors, *others))
+    table = wdvv_solve(model, standard_seeds(model), c1_max)
+    assert wdvv_solve(permuted, standard_seeds(permuted), c1_max).entries == {
+        (classes(beta), insertions(n)): value for (beta, n), value in table.entries.items()
+    }
 
 
 # -- lines in P^r by Schubert calculus ----------------------------------------
