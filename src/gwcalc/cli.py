@@ -53,10 +53,6 @@ class Report:
         self.rows = [] if rows is None else rows
         self.checks = [] if checks is None else checks
 
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
     def to_json(self) -> str:
         payload = {
             "model": self.model,
@@ -334,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render(args.format))
-    return 0 if report.all_passed else 1
+    return 0 if all(ok for _, ok, _ in report.checks) else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .series import MultiIndex, SeriesBounds, refuse_assignment, row_reduce
+from .series import MultiIndex, refuse_assignment, row_reduce
 
 
 class ModelError(ValueError):
@@ -77,6 +77,10 @@ class FanoModel:
         effective_c1: tuple[int, ...],
         seeds: tuple[tuple[MultiIndex, MultiIndex, int], ...] = (),
     ) -> None:
+        # lists are stored as tuples, so equality, hash and slices read one type
+        basis_names, codims, effective_c1 = tuple(basis_names), tuple(codims), tuple(effective_c1)
+        pairing = tuple(map(tuple, pairing))
+        seeds = tuple((tuple(beta), tuple(n), value) for beta, n, value in seeds)
         given = (name, dimension, basis_names, codims, pairing, triples, effective_c1, seeds)
         self.__dict__.update(zip(_FIELDS, given))
         rank = self.rank
@@ -198,12 +202,6 @@ class FanoModel:
         p = self.divisor_count
         return tuple(range(p + 1, self.rank))
 
-    def codim(self, i: int) -> int:
-        return self.codims[i]
-
-    def g_inv(self, i: int, j: int) -> int | Fraction:
-        return self.pairing_inverse[i][j]
-
     def g_inv_pairs(self) -> tuple[tuple[int, int, int | Fraction], ...]:
         """Nonzero entries (e, f, g^{ef}) of the inverse pairing."""
         return self._g_inv_pairs
@@ -241,19 +239,6 @@ class FanoModel:
         if not self.dimension_matches(beta, n):
             return "violates the dimension constraint"
         return None
-
-    def series_bounds(self, max_c1: int) -> SeriesBounds:
-        """Series bounds compatible with this model's grading.
-
-        The total-degree cap is dim + max_c1 - 3, which no insertion
-        multi-index within the c1 bound can exceed.
-        """
-        return SeriesBounds(
-            beta_weights=self.effective_c1,
-            max_c1=max_c1,
-            n_vars=len(self.nondivisor_indices),
-            max_total=max(self.dimension + max_c1 - 3, 0),
-        )
 
     # -- serialization --------------------------------------------------------
 
@@ -417,10 +402,10 @@ def model_from_dict(data: dict) -> FanoModel:
         dimension=dimension,
         basis_names=tuple(n for n, _ in basis),
         codims=tuple(c for _, c in basis),
-        pairing=tuple(map(tuple, pairing)),
+        pairing=pairing,
         triples=triples,
         effective_c1=tuple(c1 for _, c1 in effective),
-        seeds=tuple(seeds),
+        seeds=seeds,
     )
     for position, dual in enumerate(duals):
         if not 1 <= dual <= model.divisor_count:

@@ -104,7 +104,7 @@ def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
     as coefficients, so the potential is an int series, and its products stay
     ints unless the model's inverse pairing has denominators.  Every table key
     meets the dimension constraint, which caps its total degree at
-    dim + max_c1 - 3, the total-degree bound of ``model.series_bounds``, so
+    dim + max_c1 - 3, the series box's total-degree bound (clipped at 0), so
     the series is exact on its whole box.
     """
     model = table.model
@@ -112,7 +112,10 @@ def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
         raise ValueError(
             f"requested c1-degree {max_c1} exceeds table coverage {table.c1_max}"
         )
-    bounds = model.series_bounds(max_c1)
+    bounds = SeriesBounds(
+        model.effective_c1, max_c1, len(model.nondivisor_indices),
+        max(model.dimension + max_c1 - 3, 0),
+    )
     terms = {
         (beta, n): value
         for (beta, n), value in table.entries.items()

@@ -360,11 +360,11 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
         detail = f"T2*T2 not reproduced: nonzero at {bad[:3]}" if bad else "residual zero"
         checks.append(("plane-cubic-presentation", not bad, detail))
 
-    homogeneous = True
+    homogeneous, codims = True, model.codims
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             for mono in poly.coeffs:
-                if poly.monomial_degree(mono) + model.codim(f) != model.codim(i) + model.codim(j):
+                if poly.monomial_degree(mono) + codims[f] != codims[i] + codims[j]:
                     homogeneous = False
     checks.append(("small-homogeneous", homogeneous, "structure constants graded"))
     cup_ok = True
@@ -372,9 +372,9 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             total = sum(
-                model.triple(i, j, e) * model.g_inv(e, f) for e in range(rank)
+                model.triple(i, j, e) * model.pairing_inverse[e][f] for e in range(rank)
             )
-            if poly.coefficient(q0) != total:
+            if poly.coeffs.get(q0, 0) != total:
                 cup_ok = False
     checks.append(("small-q0-is-cup", cup_ok, "classical product recovered"))
     return checks

@@ -195,9 +195,6 @@ class GWSeries:
 
     # -- queries ----------------------------------------------------------
 
-    def coefficient(self, beta: MultiIndex, n: MultiIndex) -> Coefficient:
-        return self.coeffs.get((beta, n), 0)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -401,12 +398,6 @@ class GradedPoly:
             return None
         return found.pop()
 
-    def coefficient(self, mono: MultiIndex) -> int:
-        return self.coeffs.get(tuple(mono), 0)
-
-    def terms(self) -> list[tuple[MultiIndex, int]]:
-        return sorted(self.coeffs.items())
-
     # -- arithmetic -------------------------------------------------------
 
     def _same_ring(self, other: "GradedPoly") -> None:
@@ -439,7 +430,7 @@ class GradedPoly:
         if not self.coeffs:
             return "0"
         parts = []
-        for mono, value in self.terms():
+        for mono, value in sorted(self.coeffs.items()):
             factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e]
             body = "*".join(factors) if factors else "1"
             parts.append(f"{value}*{body}" if factors else str(value))

@@ -334,7 +334,7 @@ def test_zero_class_key_cannot_shift_the_classical_triples():
         table.add(*key, 4)
     with pytest.raises(ValueError, match="non-zero class"):
         GWTable(p6, 7, {**table.entries, key: 4})
-    assert build_potential(table, 7).phi(2, 2, 2).coefficient((0,), (0,) * 5) == 1
+    assert build_potential(table, 7).phi(2, 2, 2).coeffs.get(((0,), (0,) * 5), 0) == 1
 
 
 def test_invariant_depth_error(p2):

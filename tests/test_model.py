@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gwcalc import (
     BoundaryDatum,
+    FanoModel,
     GWSeries,
     GradedPoly,
     ModelError,
@@ -69,7 +70,7 @@ def test_pairing_inverse_exact():
         for i in range(size):
             for j in range(size):
                 total = sum(
-                    Fraction(model.pairing[i][e]) * model.g_inv(e, j) for e in range(size)
+                    Fraction(model.pairing[i][e]) * model.pairing_inverse[e][j] for e in range(size)
                 )
                 assert total == (1 if i == j else 0)
 
@@ -470,6 +471,31 @@ def test_replace_copies_through_the_constructor():
         assert renamed == model and hash(renamed) == hash(model) and renamed is not model
         assert renamed.name == "renamed" and renamed.pairing_inverse == model.pairing_inverse
         assert model.replace(seeds=()) != model
+
+
+def test_list_arguments_build_the_same_model():
+    lists = {
+        "p1": dict(
+            name="p1", dimension=1, basis_names=["T0", "T1"], codims=[0, 1],
+            pairing=[[0, 1], [1, 0]], triples={(0, 0, 1): 1}, effective_c1=[2],
+            seeds=[([1], [], 1)],
+        ),
+        "p2": dict(
+            name="p2", dimension=2, basis_names=["T0", "T1", "T2"], codims=[0, 1, 2],
+            pairing=[[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            triples={(0, 0, 2): 1, (0, 1, 1): 1}, effective_c1=[3],
+            seeds=[([1], [2], 1)],
+        ),
+    }
+    for name, fields in lists.items():
+        builtin = builtin_model(name)
+        built = FanoModel(**fields)
+        assert built == builtin and hash(built) == hash(builtin)
+        for attr in ("basis_names", "codims", "pairing", "effective_c1", "seeds"):
+            copied = builtin.replace(**{attr: fields[attr]})
+            assert copied == builtin and hash(copied) == hash(builtin), attr
+    with pytest.raises(ModelError, match="ordered unit, divisors, higher codimension"):
+        builtin_model("p2").replace(codims=[0, 2, 1])
 
 
 # each formerly frozen type: how to build one, and its attributes

@@ -1,10 +1,12 @@
 """Models that are not built in, written out as model data and run through
 the generic solver; their counts are checked against independent values."""
 
+import functools
 import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 from gwcalc import FanoModel, builtin_model, model_from_dict, nd_plane_numbers
 from gwcalc.cli import main
-from gwcalc.engine import GWTable, _wdvv_checks, standard_seeds, standard_table, wdvv_solve
+from gwcalc.engine import (
+    GWTable, _wdvv_checks, gw_invariant, standard_seeds, standard_table, wdvv_solve,
+)
 from gwcalc.potential import build_potential
-from gwcalc.qring import PresentationIdeal, grassmannian_presentation
+from gwcalc.qring import PresentationIdeal, grassmannian_presentation, small_ring
 from gwcalc.series import GradedPoly
 from test_series import set_var_to_zero
 
@@ -145,8 +149,8 @@ def q3_hyperplane_file(tmp_path_factory):
 
 def test_q3_hyperplane_basis_takes_the_fraction_path():
     model = model_from_dict(Q3_HYPERPLANE)
-    assert model.g_inv(1, 2) == Fraction(1, 2)
-    assert type(model.g_inv(0, 3)) is int
+    assert model.pairing_inverse[1][2] == Fraction(1, 2)
+    assert type(model.pairing_inverse[0][3]) is int
 
 
 def test_q3_hyperplane_counts_are_rescaled_builtin_counts(q3_hyperplane_file):
@@ -328,6 +332,105 @@ def test_basis_change_permutes_the_counts(data):
     assert wdvv_solve(permuted, standard_seeds(permuted), c1_max).entries == {
         (classes(beta), insertions(n)): value for (beta, n), value in table.entries.items()
     }
+
+
+# -- products of projective spaces -------------------------------------------
+
+
+def _product_of_spaces(a, b):
+    """P^a x P^b through the constructor, with its basis as exponent pairs.
+
+    The basis is h1^i h2^j, ordered by codimension with h1 first; the
+    pairing and the triples are read off int h1^a h2^b = 1.  The generators
+    are the lines of the two factors, dual to h1 and h2, with c1 = a + 1 and
+    b + 1.  Each factor's seed is its one line through a point meeting
+    pt_X x 1 (or 1 x pt_Y); when that class is the divisor, the divisor
+    axiom drops it and leaves the point alone.
+    """
+    exponents = sorted(product(range(a + 1), range(b + 1)), key=lambda e: (sum(e), -e[0]))
+    others = exponents[3:]  # the basis after the unit, h1 and h2
+
+    def integral(*factors):
+        return int(tuple(map(sum, zip(*factors))) == (a, b))
+
+    def seed(beta, through):
+        n = tuple(int(e in {(a, b), through}) for e in others)
+        return beta, n, 1
+
+    model = FanoModel(
+        name=f"p{a}xp{b}",
+        dimension=a + b,
+        basis_names=tuple(f"h1^{i}h2^{j}" for i, j in exponents),
+        codims=tuple(map(sum, exponents)),
+        pairing=tuple(tuple(integral(e, f) for f in exponents) for e in exponents),
+        triples={
+            key: 1
+            for key in combinations_with_replacement(range(len(exponents)), 3)
+            if integral(*(exponents[x] for x in key))
+        },
+        effective_c1=(a + 1, b + 1),
+        seeds=(seed((1, 0), (a, 0)), seed((0, 1), (0, b))),
+    )
+    return model, exponents
+
+
+@functools.cache
+def _product_table(a, b, c1_max):
+    model, exponents = _product_of_spaces(a, b)
+    return standard_table(model, c1_max), exponents
+
+
+PRODUCTS = [(1, 2, 9), (2, 1, 9), (1, 3, 8), (3, 1, 8), (2, 2, 8)]
+
+
+@pytest.mark.parametrize("a, b, c1_max", PRODUCTS)
+def test_product_fibre_classes_count_in_their_factor(a, b, c1_max):
+    # a curve of class (d, 0) lies in a fibre P^a x {y}; one insertion
+    # c x pt_Y fixes the fibre, and every c x 1 meets it in c, so the count
+    # is the factor's count: <c_1 x 1 ... c_n x pt_Y>_(d,0) = <c_1 ... c_n>_d
+    table, exponents = _product_table(a, b, c1_max)
+    index = {e: k for k, e in enumerate(exponents)}
+    for factor, (r, other) in enumerate([(a, b), (b, a)]):
+        def lift(k, top):  # h^k in this factor, times 1 or the other point
+            return index[(k, top) if factor == 0 else (top, k)]
+
+        fibre = standard_table(builtin_model("pr", r), c1_max)
+        reached = set()
+        for (beta, n), value in fibre.entries.items():
+            # P^r's basis index k is h^k; P^1's counts have only the divisor
+            classes = [k + 2 for k, m in enumerate(n) for _ in range(m)] or [1]
+            lifted = [lift(k, 0) for k in classes[:-1]] + [lift(classes[-1], other)]
+            d = (beta[0], 0) if factor == 0 else (0, beta[0])
+            expected = gw_invariant(fibre, beta, classes)
+            assert gw_invariant(table, d, lifted) == expected, (factor, beta, n)
+            if expected:
+                reached.add(beta[0])
+        top = c1_max // (r + 1) if r > 1 else 1  # P^1's only count is its line
+        assert reached == set(range(1, top + 1)), factor
+    if (a, b) == (2, 1):
+        assert gw_invariant(table, (3, 0), [index[(2, 0)]] * 7 + [index[(2, 1)]]) == 12
+
+
+@pytest.mark.parametrize("a, b, c1_max", PRODUCTS)
+def test_product_small_ring_is_the_tensor_product(a, b, c1_max):
+    # QH(P^a x P^b) = QH(P^a) x QH(P^b) (Kaufmann-Kontsevich-Manin): the
+    # structure constants multiply, q1 carrying the first factor's exponent
+    # and q2 the second's
+    table, exponents = _product_table(a, b, c1_max)
+    index = {e: k for k, e in enumerate(exponents)}
+    ring = small_ring(table)
+    first, second = (small_ring(standard_table(builtin_model("pr", r), 2 * r)) for r in (a, b))
+    for (i, j), expansion in ring.constants.items():
+        (i1, i2), (j1, j2) = exponents[i], exponents[j]
+        expected = {}
+        pairs = product(first.product(i1, j1).items(), second.product(i2, j2).items())
+        for (f1, p1), (f2, p2) in pairs:
+            terms = {
+                (*m1, *m2): c1 * c2 for m1, c1 in p1.coeffs.items() for m2, c2 in p2.coeffs.items()
+            }
+            if terms:
+                expected[index[(f1, f2)]] = GradedPoly(ring.q_degrees, terms)
+        assert {f: poly for f, poly in expansion.items() if not poly.is_zero()} == expected, (i, j)
 
 
 # -- lines in P^r by Schubert calculus ----------------------------------------

@@ -17,15 +17,15 @@ from gwcalc import (
     wdvv_residual,
     wdvv_solve,
 )
-from gwcalc.series import GWSeries
+from gwcalc.series import GWSeries, SeriesBounds
 from test_model import effective_classes
 
 
 def test_gamma_coefficients_are_counts(plane_potential):
     gamma = plane_potential.gamma
-    assert gamma.coefficient((1,), (2,)) == 1
-    assert gamma.coefficient((3,), (8,)) == 12
-    assert gamma.coefficient((1,), (1,)) == 0
+    assert gamma.coeffs.get(((1,), (2,)), 0) == 1
+    assert gamma.coeffs.get(((3,), (8,)), 0) == 12
+    assert gamma.coeffs.get(((1,), (1,)), 0) == 0
 
 
 def test_empty_table_gives_classical_potential(p2):
@@ -41,10 +41,10 @@ def test_empty_table_gives_classical_potential(p2):
 def test_third_partial_display(plane_potential):
     # d^2/dy1^2 d/dy2 picks up d^2 and one exponent shift
     g112 = plane_potential.gamma_partial(1, 1, 2)
-    assert g112.coefficient((1,), (1,)) == 1
-    assert g112.coefficient((2,), (4,)) == 4
+    assert g112.coeffs.get(((1,), (1,)), 0) == 1
+    assert g112.coeffs.get(((2,), (4,)), 0) == 4
     g222 = plane_potential.gamma_partial(2, 2, 2)
-    assert g222.coefficient((2,), (2,)) == 1
+    assert g222.coeffs.get(((2,), (2,)), 0) == 1
 
 
 def test_phi_symmetry(q3_potential):
@@ -94,6 +94,23 @@ def test_unimodular_models_keep_int_coefficients(name, c1_max):
     assert any(not r.is_zero() for r in residuals)
 
 
+@pytest.mark.parametrize(
+    "name, max_c1, bounds",
+    [
+        # dim + max_c1 - 3 is negative on p1 below c1 = 2, and the cap is 0
+        ("p1", 0, SeriesBounds((2,), 0, 0, 0)),
+        ("p1", 1, SeriesBounds((2,), 1, 0, 0)),
+        ("p1", 2, SeriesBounds((2,), 2, 0, 0)),
+        ("p2", 6, SeriesBounds((3,), 6, 1, 5)),
+        ("q3", 6, SeriesBounds((3,), 6, 2, 6)),
+        ("p1xp1", 4, SeriesBounds((2, 2), 4, 1, 3)),
+    ],
+)
+def test_series_box_follows_the_grading(name, max_c1, bounds):
+    model = builtin_model(name)
+    assert build_potential(standard_table(model, max_c1), max_c1).bounds == bounds
+
+
 def test_bounds_must_be_covered(p2, plane_table):
     with pytest.raises(ValueError, match="coverage"):
         build_potential(plane_table, 21)
@@ -104,7 +121,7 @@ def test_f_bracket_unit_contraction(q3, q3_potential):
         for k in range(4):
             for l in range(4):
                 series = f_bracket(q3_potential, 0, j, k, l)
-                assert series.coefficient((0,), (0, 0)) == q3.triple(j, k, l)
+                assert series.coeffs.get(((0,), (0, 0)), 0) == q3.triple(j, k, l)
 
 
 def test_plane_coefficient_identity(plane_potential):
@@ -115,7 +132,7 @@ def test_plane_coefficient_identity(plane_potential):
     g222 = plane_potential.gamma_partial(2, 2, 2)
     residual = g222 - (g112 * g112 - g111 * g122)
     assert residual.is_zero()
-    assert (g112 * g112).coefficient((2,), (2,)) == 2
+    assert (g112 * g112).coeffs.get(((2,), (2,)), 0) == 2
 
 
 def test_plane_residual_vanishes(plane_potential):
@@ -190,7 +207,7 @@ def _random_instances(model, table, degree_choices, rng, count=20):
         beta = rng.choice(degree_choices)
         n = rng.randint(4, 6)
         classes = [rng.randint(1, rank - 1) for _ in range(n)]
-        total = sum(model.codim(c) for c in classes)
+        total = sum(model.codims[c] for c in classes)
         expected = model.dimension + model.c1_degree(beta) + n - 3 - 1
         if total != expected:
             continue
@@ -234,8 +251,8 @@ def _bracket_oracle(model, table, c1_max):
             classes = list(quad)
             for index, count in zip(model.nondivisor_indices, n):
                 classes += [index] * count
-            coefficient = bracket.coefficient(beta, n)
-            codim = sum(model.codim(x) for x in classes)
+            coefficient = bracket.coeffs.get((beta, n), 0)
+            codim = sum(model.codims[x] for x in classes)
             if codim == model.dimension + model.c1_degree(beta) + len(classes) - 4:
                 expected = g_bracket(table, beta, classes, 1, 2, 3, 4)
                 assert coefficient == expected, (quad, beta, n)

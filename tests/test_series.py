@@ -137,7 +137,7 @@ def test_int_coefficients_stay_int():
     b = GWSeries.constant(BOUNDS, 5) + a.scale(2)
     for series in (a, b, a * b, series_partial(a * b, 1), series_partial(a * b, 2)):
         assert all(type(v) is int for v in series.coeffs.values())
-    assert type(a.coefficient((2,), (3,))) is int
+    assert type(a.coeffs.get(((2,), (3,)), 0)) is int
 
 
 def test_zero_coefficients_not_stored():
