@@ -52,10 +52,6 @@ class BoundaryDatum:
         return frozenset(((self.a, self.beta1), (self.b, self.beta2)))
 
 
-def _complement(beta: MultiIndex, part: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(beta, part))
-
-
 def marking_splits(
     n: int, first: Iterable[int], second: Iterable[int] = ()
 ) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
@@ -92,7 +88,7 @@ def g_bracket(table: GWTable, beta: MultiIndex, classes: Sequence[int],
         classes_a = [classes[x - 1] for x in sorted(side_a)]
         classes_b = [classes[x - 1] for x in sorted(side_b)]
         for beta1 in class_splits(beta):
-            beta2 = _complement(beta, beta1)
+            beta2 = tuple(x - y for x, y in zip(beta, beta1))
             for e, f, gef in pairs:
                 left = gw_invariant(table, beta1, classes_a + [e])
                 if left:
@@ -116,7 +112,7 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
     data: list[BoundaryDatum] = []
     for side_a, side_b in marking_splits(n, (1,) if n else ()):
         for beta1 in class_splits(beta):
-            beta2 = _complement(beta, beta1)
+            beta2 = tuple(x - y for x, y in zip(beta, beta1))
             if not n and beta1 > beta2:
                 continue  # unordered pair; keep the lexicographically least part
             datum = BoundaryDatum(side_a, side_b, beta1, beta2)

@@ -198,7 +198,7 @@ def _cmd_qring(args: argparse.Namespace) -> Report:
     table = standard_table(model, c1_max)
     ring = small_ring(table)
     rows = []
-    p = len(ring.q_degrees)
+    p = len(model.effective_c1)
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             for mono, coeff in poly.coeffs.items():

@@ -147,16 +147,6 @@ def nd_plane(d_max: int) -> GWTable:
 # The two Fano threefolds
 # ---------------------------------------------------------------------------
 
-def _fano3_data(space: str) -> tuple[FanoModel, int, int, tuple[int, int]]:
-    """The built-in model of p3 or q3 with the facts its recursions read:
-    the c1-degree k of a line, the hyperplane cube c and the seed (a, b)."""
-    if space not in ("p3", "q3"):
-        raise ValueError(f"space must be one of ['p3', 'q3'], got {space!r}")
-    model = builtin_model(space)
-    ((_, seed, _),) = model.seeds
-    return model, model.effective_c1[0], model.triple(1, 1, 1), seed
-
-
 def _fano3_sums(
     a: int, b: int, k: int, known: Mapping[tuple[int, int], int], rows: Mapping[int, list[int]]
 ) -> tuple[int, int, int, int, int, int]:
@@ -211,8 +201,13 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     applies of (3), (5) at (a + 2, b - 1), (2) and (1).  Once the degree is
     filled, ``_fano3_check`` checks every applicable instance of all six
     recursions against the same sums, so the finished table satisfies them.
+    The recursions read the c1-degree k of a line, the hyperplane cube c and
+    the seed (a, b) off the built-in model.
     """
-    _, k, c, seed = _fano3_data(space)
+    if space not in ("p3", "q3"):
+        raise ValueError(f"space must be one of ['p3', 'q3'], got {space!r}")
+    model = builtin_model(space)
+    k, c, ((_, seed, _),) = model.effective_c1[0], model.triple(1, 1, 1), model.seeds
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     known: dict[tuple[int, int], int] = {seed: 1}
@@ -288,9 +283,11 @@ def _fano3_check(
 def fano3_solve(space: str, d_max: int) -> GWTable:
     """Table for p3 or q3: key ((d,), (a, b)) counts curves meeting a lines
     and b points."""
-    model, k, _, _ = _fano3_data(space)
+    numbers = fano3_numbers(space, d_max)
+    model = builtin_model(space)
+    k = model.effective_c1[0]
     table = GWTable(model, k * d_max)
-    for (a, b), value in fano3_numbers(space, d_max).items():
+    for (a, b), value in numbers.items():
         d = (a + 2 * b) // k
         table.add((d,), (a, b), value)
     return table
@@ -306,9 +303,7 @@ def wdvv_count(m: int) -> int:
     with m classes of positive codimension."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    count = 3 * binomial_z(m, 4) + m * binomial_z(m - 1, 2) + binomial_z(m, 2)
-    assert count == m * (m - 1) * (m * m - m + 2) // 8
-    return count
+    return 3 * binomial_z(m, 4) + m * binomial_z(m - 1, 2) + binomial_z(m, 2)
 
 
 def wdvv_canonical_equations(m: int) -> list[tuple[int, int, int, int]]:
@@ -451,7 +446,7 @@ def _level_system(known: GWTable, level: int, quads: Sequence) -> tuple[list, di
     bundle = build_potential(known, level)
     for quad in quads:
         i, j, k, l = quad
-        residual = GWSeries.zero(bundle.bounds)
+        residual = GWSeries(bundle.bounds)
         for sign, a, b, c, d in ((1, i, j, k, l), (-1, j, k, i, l)):
             for f, x in bundle.product(a, b).items():
                 if x.coeffs:

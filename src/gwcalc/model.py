@@ -352,7 +352,7 @@ def _listed(value: object) -> object:
     return value
 
 
-def model_from_dict(data: dict) -> FanoModel:
+def model_from_dict(data: object) -> FanoModel:
     """Build a validated model from the documented JSON structure.
 
     The effective generators are put in divisor order when their dual
@@ -360,6 +360,8 @@ def model_from_dict(data: dict) -> FanoModel:
     indices are checked once the model is built, against its divisor count,
     so a basis fault that changes that count is reported as a basis fault.
     """
+    if not isinstance(data, dict):
+        raise ModelError(f"malformed model data: expected an object, got {type(data).__name__}")
     field = None
     try:
         field = "basis"
@@ -392,7 +394,7 @@ def model_from_dict(data: dict) -> FanoModel:
         dimension = _integer(data["dimension"], "dimension")
     except (KeyError, TypeError) as exc:
         # a missing top-level key is named by the KeyError alone
-        where = f" in {field}" if isinstance(data, dict) and field in data else ""
+        where = f" in {field}" if field in data else ""
         raise ModelError(f"malformed model data{where}: {exc}") from exc
     duals = [dual for dual, _ in effective]
     if sorted(duals) == list(range(1, len(duals) + 1)):
@@ -419,11 +421,11 @@ def load_model(path: str | Path) -> FanoModel:
     """Load and validate a model file (JSON, exact integers only)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"cannot parse model file {path}: {exc}") from exc
     return model_from_dict(data)
 

@@ -84,7 +84,7 @@ class PotentialBundle:
     def raise_index(self, covector: Sequence[GWSeries]) -> Expansion:
         """The element X = sum_f X_f T_f with <X, T_e> = covector[e], that is
         X_f = sum_e covector[e] g^{ef}."""
-        out: Expansion = {f: GWSeries.zero(self.bounds) for f in range(self.model.rank)}
+        out: Expansion = {f: GWSeries(self.bounds) for f in range(self.model.rank)}
         for e, f, gef in self.model.g_inv_pairs():
             out[f] = out[f] + covector[e].scale(gef)
         return out
@@ -132,7 +132,7 @@ def f_bracket(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GWSeri
     key = first + second
     cached = bundle._brackets.get(key)
     if cached is None:
-        cached = GWSeries.zero(bundle.bounds)
+        cached = GWSeries(bundle.bounds)
         for f, coeff in bundle.product(*first).items():
             if not coeff.is_zero() and not (phi := bundle.phi(f, *second)).is_zero():
                 cached = cached + coeff * phi
@@ -149,5 +149,5 @@ def wdvv_residual(bundle: PotentialBundle, i: int, j: int, k: int, l: int) -> GW
     (i == k or j == l, so both pair partitions are the same).
     """
     if 0 in (i, j, k, l) or i == k or j == l:
-        return GWSeries.zero(bundle.bounds)
+        return GWSeries(bundle.bounds)
     return f_bracket(bundle, i, j, k, l) - f_bracket(bundle, j, k, i, l)

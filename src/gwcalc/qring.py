@@ -58,7 +58,7 @@ class QuantumRing:
     """Small quantum ring: structure constants over the model's basis.
 
     Each constant is a polynomial in one deformation parameter per divisor
-    class, graded by the classes' c1-degrees.  Constants are stored for
+    class, graded by the model's ``effective_c1``.  Constants are stored for
     i <= j; the product is symmetric.
     """
 
@@ -67,20 +67,15 @@ class QuantumRing:
     ) -> None:
         self.model, self.constants = model, constants
 
-    @property
-    def q_degrees(self) -> tuple[int, ...]:
-        """The parameters' degrees: the c1-degrees of the effective generators."""
-        return self.model.effective_c1
-
     def product(self, i: int, j: int) -> dict[int, GradedPoly]:
         return self.constants[(min(i, j), max(i, j))]
 
     def basis_power(self, i: int, exponent: int) -> dict[int, GradedPoly]:
         """The exponent-fold product T_i * ... * T_i as an expansion."""
-        element = {0: GradedPoly.constant(self.q_degrees, 1)}
+        element = {0: GradedPoly.constant(self.model.effective_c1, 1)}
         for _ in range(exponent):
             # right-multiply sum_e a_e T_e by T_i
-            out = {f: GradedPoly.zero(self.q_degrees) for f in range(self.model.rank)}
+            out = {f: GradedPoly(self.model.effective_c1) for f in range(self.model.rank)}
             for e, coeff in element.items():
                 if coeff.is_zero():
                     continue
@@ -121,7 +116,7 @@ def small_ring(table: GWTable) -> QuantumRing:
                             f"T_{i} * T_{j} -> T_{f}"
                         )
                     terms[beta] = int(coeff)
-                expansion[f] = GradedPoly(ring.q_degrees, terms)
+                expansion[f] = GradedPoly(model.effective_c1, terms)
             ring.constants[(i, j)] = expansion
     return ring
 
@@ -230,10 +225,10 @@ def s_r_determinant(p: int, n: int, r: int) -> GradedPoly:
     degrees = tuple(range(1, k + 1)) + (n,)
     s = [GradedPoly.constant(degrees, 1)]
     for m in range(1, r + 1):
-        total = GradedPoly.zero(degrees)
+        total = GradedPoly(degrees)
         for i in range(1, min(m, k) + 1):
             term = GradedPoly.variable(degrees, i - 1) * s[m - i]
-            total = total + (term if i % 2 else -term)
+            total = total + (term if i % 2 else term.scale(-1))
         s.append(total)
     return s[r]
 
@@ -368,7 +363,7 @@ def _ring_checks(bundle: PotentialBundle, ring: QuantumRing):
                     homogeneous = False
     checks.append(("small-homogeneous", homogeneous, "structure constants graded"))
     cup_ok = True
-    q0 = (0,) * len(ring.q_degrees)
+    q0 = (0,) * len(model.effective_c1)
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             total = sum(

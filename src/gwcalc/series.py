@@ -183,13 +183,9 @@ class GWSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, bounds: SeriesBounds) -> "GWSeries":
-        return cls(bounds, {})
-
-    @classmethod
     def constant(cls, bounds: SeriesBounds, value: Coefficient) -> "GWSeries":
         if not _exact(value):
-            return cls.zero(bounds)
+            return cls(bounds)
         key = ((0,) * len(bounds.beta_weights), (0,) * bounds.n_vars)
         return cls(bounds, {key: value})
 
@@ -363,13 +359,9 @@ class GradedPoly:
         self.__dict__.update(degrees=degrees, coeffs=coeffs)
 
     @classmethod
-    def zero(cls, degrees: tuple[int, ...]) -> "GradedPoly":
-        return cls(degrees, {})
-
-    @classmethod
     def constant(cls, degrees: tuple[int, ...], value: int) -> "GradedPoly":
         if value == 0:
-            return cls.zero(degrees)
+            return cls(degrees)
         return cls(degrees, {(0,) * len(degrees): value})
 
     @classmethod
@@ -410,9 +402,6 @@ class GradedPoly:
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "GradedPoly":
-        return self.scale(-1)
 
     def scale(self, value: int) -> "GradedPoly":
         if value == 0:

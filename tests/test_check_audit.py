@@ -62,12 +62,12 @@ def _doubled_products(picks):
 
 
 def _unit_product_gains(term):
-    """``small_ring``'s T0 * T1 gains ``term(q_degrees)`` in its T1 coefficient."""
+    """``small_ring``'s T0 * T1 gains ``term(effective_c1)`` in its T1 coefficient."""
     def wrap(small_ring):
         def ring(table):
             result = small_ring(table)
             expansion = result.constants[(0, 1)]
-            expansion[1] = expansion[1] + term(result.q_degrees)
+            expansion[1] = expansion[1] + term(result.model.effective_c1)
             return result
         return ring
     return wrap

@@ -347,6 +347,25 @@ def test_wrong_json_type_names_its_field(p2, field):
 
 
 @pytest.mark.parametrize(
+    "content, text",
+    [
+        (b"[" * 100000 + b"]" * 100000, "cannot parse model file {path}: maximum recursion depth"),
+        (b"\xff\xfe{}", "cannot read model file {path}: 'utf-8' codec can't decode byte 0xff"),
+        (b"[]", "malformed model data: expected an object, got list"),
+        (b"5", "malformed model data: expected an object, got int"),
+        (b"null", "malformed model data: expected an object, got NoneType"),
+        (b'"x"', "malformed model data: expected an object, got str"),
+    ],
+    ids=["deep-nesting", "not-utf8", "list", "int", "null", "str"],
+)
+def test_hostile_model_file_is_refused_by_rule(tmp_path, content, text):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(ModelError, match=f"^{re.escape(text.format(path=path))}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
     "field, edit",
     [
         ("basis", lambda d: d.update(basis={})),

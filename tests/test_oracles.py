@@ -380,7 +380,13 @@ def _product_table(a, b, c1_max):
     return standard_table(model, c1_max), exponents
 
 
-PRODUCTS = [(1, 2, 9), (2, 1, 9), (1, 3, 8), (3, 1, 8), (2, 2, 8)]
+def test_product_builder_reproduces_p1xp1():
+    model, _ = _product_of_spaces(1, 1)
+    p1xp1 = builtin_model("p1xp1")
+    assert model.replace(basis_names=p1xp1.basis_names) == p1xp1
+
+
+PRODUCTS = [(1, 1, 10), (1, 2, 9), (2, 1, 9), (1, 3, 8), (3, 1, 8), (2, 2, 8)]
 
 
 @pytest.mark.parametrize("a, b, c1_max", PRODUCTS)
@@ -429,7 +435,7 @@ def test_product_small_ring_is_the_tensor_product(a, b, c1_max):
                 (*m1, *m2): c1 * c2 for m1, c1 in p1.coeffs.items() for m2, c2 in p2.coeffs.items()
             }
             if terms:
-                expected[index[(f1, f2)]] = GradedPoly(ring.q_degrees, terms)
+                expected[index[(f1, f2)]] = GradedPoly(ring.model.effective_c1, terms)
         assert {f: poly for f, poly in expansion.items() if not poly.is_zero()} == expected, (i, j)
 
 

@@ -340,7 +340,7 @@ def _products_of_products(bundle):
     """The route the brackets replace, contracted here from the third
     partials alone: T_i * T_j, and an expansion times T_k one basis product
     at a time."""
-    model, zero = bundle.model, GWSeries.zero(bundle.bounds)
+    model, zero = bundle.model, GWSeries(bundle.bounds)
     products = {}
 
     def product(i, j):
@@ -442,7 +442,7 @@ def test_plane_cubic_matches_products_of_products(counts):
     # the triple power is read back from the coefficient series alone
     cubic = presentation_from_big(bundle)
     assert {
-        f: cubic[2] * pow2[f] + (cubic[f] if f < 2 else GWSeries.zero(bundle.bounds))
+        f: cubic[2] * pow2[f] + (cubic[f] if f < 2 else GWSeries(bundle.bounds))
         for f in range(3)
     } == pow3
 
@@ -507,10 +507,10 @@ def test_basis_powers_on_product_of_lines():
     for e in range(7):
         half, odd = divmod(e, 2)
         assert _nonzero_polys(ring.basis_power(1, e)) == {
-            odd: GradedPoly(ring.q_degrees, {(half, 0): 1})
+            odd: GradedPoly(ring.model.effective_c1, {(half, 0): 1})
         }
         assert _nonzero_polys(ring.basis_power(2, e)) == {
-            2 * odd: GradedPoly(ring.q_degrees, {(0, half): 1})
+            2 * odd: GradedPoly(ring.model.effective_c1, {(0, half): 1})
         }
 
 
@@ -519,7 +519,7 @@ def test_small_ring_homogeneity(q3):
     for (i, j), expansion in ring.constants.items():
         for f, poly in expansion.items():
             for mono in poly.coeffs:
-                weight = sum(e * d for e, d in zip(mono, ring.q_degrees))
+                weight = sum(e * d for e, d in zip(mono, ring.model.effective_c1))
                 assert weight + q3.codims[f] == q3.codims[i] + q3.codims[j]
 
 
@@ -527,7 +527,7 @@ def test_small_ring_q0_is_cup_product():
     for name in ("p2", "p3", "q3", "p1xp1"):
         model = builtin_model(name)
         ring = small_ring(standard_table(model, 2 * model.dimension))
-        q0 = (0,) * len(ring.q_degrees)
+        q0 = (0,) * len(ring.model.effective_c1)
         for i in range(model.rank):
             for j in range(i, model.rank):
                 for f in range(model.rank):

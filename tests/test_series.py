@@ -72,7 +72,7 @@ def test_divided_power_square():
 
 def test_mul_by_zero():
     a = GWSeries(BOUNDS, {((1,), (2,)): 5, ((2,), (0,)): 3})
-    assert (a * GWSeries.zero(BOUNDS)).is_zero()
+    assert (a * GWSeries(BOUNDS)).is_zero()
 
 
 def test_constant_is_unit():
@@ -110,14 +110,14 @@ def test_partial_of_constant_is_zero():
 
 def test_partial_unknown_variable():
     with pytest.raises(ValueError):
-        series_partial(GWSeries.zero(BOUNDS), 3)
+        series_partial(GWSeries(BOUNDS), 3)
     with pytest.raises(ValueError):
-        series_partial(GWSeries.zero(BOUNDS), 0)
+        series_partial(GWSeries(BOUNDS), 0)
 
 
 def test_arity_mismatch_rejected():
-    a = GWSeries.zero(BOUNDS)
-    b = GWSeries.zero(BOUNDS2)
+    a = GWSeries(BOUNDS)
+    b = GWSeries(BOUNDS2)
     with pytest.raises(ValueError):
         a * b
 
