@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .model import FanoModel, ModelError, builtin_model
 from .potential import PotentialBundle, build_potential, wdvv_residual
-from .series import GWSeries, MultiIndex, binomial_row, binomial_z, compositions, row_reduce
+from .series import MultiIndex, binomial_row, binomial_z, compositions, row_reduce
 
 TableKey = tuple[MultiIndex, MultiIndex]
 
@@ -367,9 +367,9 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
     C_ab^f = sum_e c_abe g^ef (0 for f = 0).  A derivative d along divisor a
     multiplies by beta_a, one along a non-divisor class lowers that entry of
     n, and a negative entry gives 0; so an unknown's column is read off the
-    classical triples.  The constant column is the residual of the known
-    counts with the level as c1 floor of its products: the level's seeds and
-    pairs of lower counts.  Every row stays in, so a solved level is verified.
+    classical triples.  The constant column is ``wdvv_residual`` of the known
+    counts on a potential floored at the level: the level's seeds and pairs
+    of lower counts.  Every row stays in, so a solved level is verified.
     """
     if seeds.model != model:
         raise ValueError("seed table belongs to a different model")
@@ -443,15 +443,9 @@ def _level_system(known: GWTable, level: int, quads: Sequence) -> tuple[list, di
                     row = rows.setdefault((quad, key), {})
                     row[col] = row.get(col, 0) + value * factor
 
-    bundle = build_potential(known, level)
+    bundle = build_potential(known, level, level)
     for quad in quads:
-        i, j, k, l = quad
-        residual = GWSeries(bundle.bounds)
-        for sign, a, b, c, d in ((1, i, j, k, l), (-1, j, k, i, l)):
-            for f, x in bundle.product(a, b).items():
-                if x.coeffs:
-                    residual = residual + x.times(bundle.phi(f, c, d), level).scale(sign)
-        for key, value in residual.coeffs.items():
+        for key, value in wdvv_residual(bundle, *quad).coeffs.items():
             rows.setdefault((quad, key), {})[len(unknowns)] = value
     return unknowns, {q: r for q, row in rows.items() if (r := {c: v for c, v in row.items() if v})}
 

@@ -88,6 +88,8 @@ class FanoModel:
             raise ModelError(
                 f"basis needs one name per class: {len(basis_names)} names for {rank} classes"
             )
+        if not isinstance(name, str):
+            raise ModelError(f"model name {name!r} is not a string")
         for index, label in enumerate(basis_names):
             if not isinstance(label, str):
                 raise ModelError(f"basis class {index} has name {label!r}, not a string")
@@ -389,7 +391,7 @@ def model_from_dict(data: object) -> FanoModel:
              s["value"])
             for s in _listed(data.get("seeds", []))
         ]
-        name = str(data.get("name", "user"))
+        name = data.get("name", "user")
         field = "dimension"
         dimension = _integer(data["dimension"], "dimension")
     except (KeyError, TypeError) as exc:
@@ -425,7 +427,7 @@ def load_model(path: str | Path) -> FanoModel:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit cap
         raise ModelError(f"cannot parse model file {path}: {exc}") from exc
     return model_from_dict(data)
 

@@ -96,9 +96,9 @@ class PotentialBundle:
         )
 
 
-def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
+def build_potential(table: GWTable, max_c1: int, min_c1: int = 0) -> PotentialBundle:
     """Assemble the potential of a table on its model, truncated at c1-degree
-    ``max_c1``.
+    ``max_c1``, its products floored at c1-degree ``min_c1``.
 
     The table must cover the requested bound; its int counts appear verbatim
     as coefficients, so the potential is an int series, and its products stay
@@ -114,7 +114,7 @@ def build_potential(table: GWTable, max_c1: int) -> PotentialBundle:
         )
     bounds = SeriesBounds(
         model.effective_c1, max_c1, len(model.nondivisor_indices),
-        max(model.dimension + max_c1 - 3, 0),
+        max(model.dimension + max_c1 - 3, 0), min_c1,
     )
     terms = {
         (beta, n): value

@@ -141,20 +141,24 @@ class SeriesBounds:
     max_c1: hard cap on the weighted beta degree of stored keys.
     n_vars: number of non-divisor variables.
     max_total: hard cap on the total degree of non-divisor exponents.
+    min_c1: floor on the weighted beta degree of a product's keys; sums
+    are not floored.
     """
 
     __setattr__ = __delattr__ = refuse_assignment
     __eq__, __hash__ = value_eq, value_hash
 
     def __init__(
-        self, beta_weights: tuple[int, ...], max_c1: int, n_vars: int, max_total: int
+        self, beta_weights: tuple[int, ...], max_c1: int, n_vars: int, max_total: int,
+        min_c1: int = 0,
     ) -> None:
         if any(w <= 0 for w in beta_weights):
             raise ValueError("beta weights must be positive")
         if max_c1 < 0 or max_total < 0:
             raise ValueError("truncation bounds must be non-negative")
         self.__dict__.update(
-            beta_weights=beta_weights, max_c1=max_c1, n_vars=n_vars, max_total=max_total
+            beta_weights=beta_weights, max_c1=max_c1, n_vars=n_vars, max_total=max_total,
+            min_c1=min_c1,
         )
 
     def c1_degree(self, beta: MultiIndex) -> int:
@@ -213,11 +217,8 @@ class GWSeries:
         return GWSeries(self.bounds, {k: v * value for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "GWSeries") -> "GWSeries":
-        return self.times(other)
-
-    def times(self, other: "GWSeries", c1_floor: int = 0) -> "GWSeries":
         """Divided-power product, truncated to the shared bounds, at keys of
-        c1-degree ``c1_floor`` or more.
+        c1-degree ``bounds.min_c1`` or more.
 
         The coefficient at (beta, n) is the convolution over beta = b1 + b2,
         n = n1 + n2 weighted by the per-variable binomials C(n_i, n1_i).
@@ -228,7 +229,7 @@ class GWSeries:
         """
         self._require_same_bounds(other)
         bounds = self.bounds
-        c1_degree = bounds.c1_degree
+        c1_degree, c1_floor = bounds.c1_degree, bounds.min_c1
         right = [(c1_degree(b), total_degree(n), b, n, v) for (b, n), v in other.coeffs.items()]
         right.sort(key=itemgetter(0, 1))
         degrees = [term[0] for term in right] if c1_floor else None

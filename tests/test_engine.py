@@ -523,14 +523,14 @@ def test_level_rows_match_one_count_residuals(monkeypatch, make, c1_max):
 def test_constant_column_products_stay_on_the_level(monkeypatch, p3):
     # lower levels are solved and verified, so the constant column needs
     # products only at the level's own keys
-    times = GWSeries.times
+    multiply = GWSeries.__mul__
     calls = []
 
-    def recording(left, right, c1_floor=0):
-        calls.append((c1_floor, left.bounds.max_c1))
-        return times(left, right, c1_floor)
+    def recording(left, right):
+        calls.append((left.bounds.min_c1, left.bounds.max_c1))
+        return multiply(left, right)
 
-    monkeypatch.setattr(GWSeries, "times", recording)
+    monkeypatch.setattr(GWSeries, "__mul__", recording)
     wdvv_solve(p3, standard_seeds(p3), 12)
     assert calls and all(floor == level for floor, level in calls)
 

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -346,6 +347,10 @@ def test_wrong_json_type_names_its_field(p2, field):
         model_from_dict(data)
 
 
+def _p2_json_named(name):
+    return json.dumps({**builtin_model("p2").to_dict(), "name": name}).encode()
+
+
 @pytest.mark.parametrize(
     "content, text",
     [
@@ -355,14 +360,30 @@ def test_wrong_json_type_names_its_field(p2, field):
         (b"5", "malformed model data: expected an object, got int"),
         (b"null", "malformed model data: expected an object, got NoneType"),
         (b'"x"', "malformed model data: expected an object, got str"),
+        (_p2_json_named({"a": 1}), "model name {{'a': 1}} is not a string"),
+        (_p2_json_named(5), "model name 5 is not a string"),
     ],
-    ids=["deep-nesting", "not-utf8", "list", "int", "null", "str"],
+    ids=["deep-nesting", "not-utf8", "list", "int", "null", "str", "name-object", "name-number"],
 )
 def test_hostile_model_file_is_refused_by_rule(tmp_path, content, text):
     path = tmp_path / "model.json"
     path.write_bytes(content)
     with pytest.raises(ModelError, match=f"^{re.escape(text.format(path=path))}"):
         load_model(path)
+
+
+def test_integer_past_the_digit_cap_is_refused_by_rule(tmp_path):
+    # cli.main lifts the cap for the whole process, so this test sets it
+    path = tmp_path / "model.json"
+    path.write_bytes(b"1" + b"0" * 4400)
+    text = f"cannot parse model file {path}: Exceeds the limit (4300 digits)"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ModelError, match=f"^{re.escape(text)}"):
+            load_model(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
@@ -523,7 +544,9 @@ _VALUE_TYPES = {
         lambda: builtin_model("p2"),
         "name dimension basis_names codims pairing triples effective_c1 seeds pairing_inverse",
     ),
-    "SeriesBounds": (lambda: SeriesBounds((3,), 9, 1, 8), "beta_weights max_c1 n_vars max_total"),
+    "SeriesBounds": (
+        lambda: SeriesBounds((3,), 9, 1, 8), "beta_weights max_c1 n_vars max_total min_c1"
+    ),
     "GWSeries": (lambda: GWSeries(SeriesBounds((3,), 9, 1, 8), {((1,), (2,)): 5}), "bounds coeffs"),
     "GradedPoly": (lambda: GradedPoly((1, 2), {(1, 0): 3}), "degrees coeffs"),
     "BoundaryDatum": (

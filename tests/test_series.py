@@ -197,7 +197,7 @@ def _naive_mul(a, b, bounds):
         for (b2, n2), v2 in b.items():
             beta = tuple(x + y for x, y in zip(b1, b2))
             n = tuple(x + y for x, y in zip(n1, n2))
-            if not in_bounds(bounds, beta, n):
+            if not in_bounds(bounds, beta, n) or bounds.c1_degree(beta) < bounds.min_c1:
                 continue
             out[(beta, n)] = out.get((beta, n), Fraction(0)) + v1 * v2
     return {k: v for k, v in out.items() if v}
@@ -218,11 +218,14 @@ def bounded_factors(draw):
     """Random bounds and two sparse series over them, with keys drawn often
     from the edge of the bounds."""
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    max_c1 = draw(st.integers(0, 7))
     bounds = SeriesBounds(
         beta_weights=weights,
-        max_c1=draw(st.integers(0, 7)),
+        max_c1=max_c1,
         n_vars=draw(st.integers(0, 2)),
         max_total=draw(st.integers(0, 4)),
+        # unfloored in about half the draws, floored anywhere up to max_c1 otherwise
+        min_c1=draw(st.just(0) | st.integers(0, max_c1)),
     )
     keys = [
         (beta, n)
