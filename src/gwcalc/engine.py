@@ -136,11 +136,8 @@ def nd_plane_numbers(d_max: int) -> dict[int, int]:
 
 def nd_plane(d_max: int) -> GWTable:
     """Plane-curve table: key ((d,), (3d-1,)) holds the degree-d count."""
-    model = builtin_model("p2")
-    table = GWTable(model, 3 * d_max)
-    for d, value in nd_plane_numbers(d_max).items():
-        table.add((d,), (3 * d - 1,), value)
-    return table
+    entries = {((d,), (3 * d - 1,)): value for d, value in nd_plane_numbers(d_max).items()}
+    return GWTable(builtin_model("p2"), 3 * d_max, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -248,35 +245,26 @@ def fano3_numbers(space: str, d_max: int) -> dict[tuple[int, int], int]:
     return known
 
 
+# the least (a, b) from which each of recursions (1)-(6) holds
+_FANO3_LEAST = ((3, 0), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2))
+
+
 def _fano3_check(
     space: str, d: int, c: int, known: Mapping[tuple[int, int], int], sums: Mapping
 ) -> int:
     """Check every applicable recursion instance at the filled degree d
-    against that degree's sums; returns the number of instances checked."""
+    against that degree's sums; returns the number of instances checked.
+    Each left side reads only N_{a,b} and up = N_{a-2,b+1}."""
     checked = 0
-    for (a, b), (s1, s2, s3, s4, s5, s6) in sums.items():
-        value = known[(a, b)]
-        up = known.get((a - 2, b + 1))
-        checks: list[tuple[str, int, int]] = []
-        if a >= 3:
-            checks.append(("(1)", 2 * d * up - c * value, s1))
-        if a >= 2 and b >= 1:
-            checks.append(("(2)", d * up - c * value, s2))
-        if a >= 1 and b >= 2:
-            checks.append(("(3)", c * value, s3))
-        if a >= 3 and b >= 1:
-            checks.append(("(4)", up, s4))
-        if a >= 2 and b >= 2:
-            checks.append(("(5)", up, s5))
-        if a >= 3 and b >= 2:
-            checks.append(("(6)", 0, s6))
-        for label, lhs, rhs in checks:
-            if lhs != rhs:
-                raise SolveError(
-                    f"{space}: recursion {label} fails at (a,b)=({a},{b}): "
-                    f"{lhs} != {rhs}"
-                )
-        checked += len(checks)
+    for (a, b), rhs in sums.items():
+        value, up = known[(a, b)], known.get((a - 2, b + 1), 0)
+        lhs = (2 * d * up - c * value, d * up - c * value, c * value, up, up, 0)
+        for r, ((least_a, least_b), left, right) in enumerate(zip(_FANO3_LEAST, lhs, rhs), 1):
+            if a >= least_a and b >= least_b:
+                if left != right:
+                    raise SolveError(f"{space}: recursion ({r}) fails at (a,b)=({a},{b}): "
+                                     f"{left} != {right}")
+                checked += 1
     return checked
 
 
@@ -286,11 +274,8 @@ def fano3_solve(space: str, d_max: int) -> GWTable:
     numbers = fano3_numbers(space, d_max)
     model = builtin_model(space)
     k = model.effective_c1[0]
-    table = GWTable(model, k * d_max)
-    for (a, b), value in numbers.items():
-        d = (a + 2 * b) // k
-        table.add((d,), (a, b), value)
-    return table
+    entries = {(((a + 2 * b) // k,), (a, b)): value for (a, b), value in numbers.items()}
+    return GWTable(model, k * d_max, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +358,9 @@ def wdvv_solve(model: FanoModel, seeds: GWTable, c1_max: int) -> GWTable:
     """
     if seeds.model != model:
         raise ValueError("seed table belongs to a different model")
-    known = GWTable(model, c1_max)
-    for (beta, n), value in seeds.entries.items():
-        if model.c1_degree(beta) <= c1_max:
-            known.add(beta, n, value)
+    known = GWTable(model, c1_max, {
+        key: value for key, value in seeds.entries.items() if model.c1_degree(key[0]) <= c1_max
+    })
 
     quads = wdvv_canonical_equations(model.top_index)
     for level in range(1, c1_max + 1):
@@ -459,10 +443,7 @@ def standard_seeds(model: FanoModel) -> GWTable:
     """The seed counts the model carries, as a table to solve from."""
     if not model.seeds:
         raise ModelError(f"model {model.name!r} carries no seeds")
-    table = GWTable(model, max(model.effective_c1))
-    for beta, n, value in model.seeds:
-        table.add(beta, n, value)
-    return table
+    return GWTable(model, max(model.effective_c1), {(beta, n): v for beta, n, v in model.seeds})
 
 
 def standard_table(model: FanoModel, c1_max: int) -> GWTable:

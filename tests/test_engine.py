@@ -109,6 +109,18 @@ def test_fano3_error_texts(monkeypatch, s3, message):
     assert str(error.value) == message
 
 
+# what raising each slot's sum at (3, 3) breaks first, in the order (1)-(6);
+# (3) derives N_{3,3}, so raising its sum first breaks (1)
+EVERY_SUM_MESSAGES = (
+    "q3: recursion (1) fails at (a,b)=(3,3): 2 != 4",
+    "q3: recursion (2) fails at (a,b)=(3,3): -4 != -2",
+    "q3: recursion (1) fails at (a,b)=(3,3): 0 != 2",
+    "q3: recursion (4) fails at (a,b)=(3,3): 2 != 4",
+    "q3: recursion (5) fails at (a,b)=(3,3): 2 != 4",
+    "q3: recursion (6) fails at (a,b)=(3,3): 0 != 2",
+)
+
+
 @pytest.mark.parametrize("slot", range(6))
 def test_fano3_every_sum_is_read(monkeypatch, slot):
     # raising recursion (slot + 1)'s sum by c = 2 at the interior point
@@ -122,8 +134,9 @@ def test_fano3_every_sum_is_read(monkeypatch, slot):
         return tuple(sums)
 
     monkeypatch.setattr(engine, "_fano3_sums", perturbed)
-    with pytest.raises(SolveError):
+    with pytest.raises(SolveError) as error:
         fano3_numbers("q3", 3)
+    assert str(error.value) == EVERY_SUM_MESSAGES[slot]
 
 
 def test_fano3_table_keys(q3_table):
