@@ -87,8 +87,7 @@ def g_bracket(table: GWTable, beta: MultiIndex, classes: Sequence[int],
     for side_a, side_b in marking_splits(n, (q, r), (s, t)):
         classes_a = [classes[x - 1] for x in sorted(side_a)]
         classes_b = [classes[x - 1] for x in sorted(side_b)]
-        for beta1 in class_splits(beta):
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
+        for beta1, beta2 in class_splits(beta):
             for e, f, gef in pairs:
                 left = gw_invariant(table, beta1, classes_a + [e])
                 if left:
@@ -111,8 +110,7 @@ def enumerate_boundary(n: int, beta: MultiIndex) -> list[BoundaryDatum]:
         raise ValueError("beta must be effective")
     data: list[BoundaryDatum] = []
     for side_a, side_b in marking_splits(n, (1,) if n else ()):
-        for beta1 in class_splits(beta):
-            beta2 = tuple(x - y for x, y in zip(beta, beta1))
+        for beta1, beta2 in class_splits(beta):
             if not n and beta1 > beta2:
                 continue  # unordered pair; keep the lexicographically least part
             datum = BoundaryDatum(side_a, side_b, beta1, beta2)

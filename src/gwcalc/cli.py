@@ -47,57 +47,44 @@ class Report:
         bounds: dict,
         key_names: list[str],
         rows: list[tuple[tuple[int, ...], int]] | None = None,
-        checks: list[tuple[str, bool, str]] | None = None,
     ) -> None:
         self.model, self.command, self.bounds, self.key_names = model, command, bounds, key_names
         self.rows = [] if rows is None else rows
-        self.checks = [] if checks is None else checks
-
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model,
-            "command": self.command,
-            "bounds": self.bounds,
-            "rows": [
-                {"key": list(key), "value": str(value)}
-                for key, value in sorted(self.rows)
-            ],
-            "checks": [
-                {"name": name, "pass": ok, "detail": detail}
-                for name, ok, detail in self.checks
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    def to_csv(self) -> str:
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([*self.key_names, "value"])
-        for key, value in sorted(self.rows):
-            writer.writerow([*key, value])
-        for name, ok, detail in self.checks:
-            writer.writerow([f"check:{name}", "pass" if ok else "FAIL", detail])
-        return buffer.getvalue()
-
-    def to_text(self) -> str:
-        lines = [f"{self.command} on {self.model}  bounds={self.bounds}"]
-        if self.rows:
-            lines.append("  ".join(self.key_names + ["value"]))
-            for key, value in sorted(self.rows):
-                lines.append("  ".join(str(x) for x in (*key, value)))
-        for name, ok, detail in self.checks:
-            status = "PASS" if ok else "FAIL"
-            lines.append(f"{status} {name}" + (f": {detail}" if detail else ""))
-        return "\n".join(lines) + "\n"
+        self.checks: list[tuple[str, bool, str]] = []
 
     def render(self, fmt: str) -> str:
+        rows = sorted(self.rows)
         if fmt == "json":
-            return self.to_json()
+            return json.dumps(
+                {
+                    "model": self.model,
+                    "command": self.command,
+                    "bounds": self.bounds,
+                    "rows": [{"key": list(key), "value": str(value)} for key, value in rows],
+                    "checks": [
+                        {"name": name, "pass": ok, "detail": detail}
+                        for name, ok, detail in self.checks
+                    ],
+                },
+                indent=2,
+            )
         if fmt == "csv":
-            return self.to_csv()
-        return self.to_text()
+            import csv
+
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow([*self.key_names, "value"])
+            writer.writerows([*key, value] for key, value in rows)
+            for name, ok, detail in self.checks:
+                writer.writerow([f"check:{name}", "pass" if ok else "FAIL", detail])
+            return buffer.getvalue()
+        lines = [f"{self.command} on {self.model}  bounds={self.bounds}"]
+        if rows:
+            lines.append("  ".join(self.key_names + ["value"]))
+            lines.extend("  ".join(str(x) for x in (*key, value)) for key, value in rows)
+        for name, ok, detail in self.checks:
+            lines.append(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
+        return "\n".join(lines) + "\n"
 
 
 class ConfigError(ValueError):

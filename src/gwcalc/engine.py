@@ -458,13 +458,9 @@ def standard_table(model: FanoModel, c1_max: int) -> GWTable:
         if model == builtin_model(space):
             d_max = max(1, c1_max // model.effective_c1[0])
             table = nd_plane(d_max) if space == "p2" else fano3_solve(space, d_max)
-            # the recursion's model equals this one by data, so every key it
-            # added already passed this model's key_problem
-            result = GWTable(model, c1_max)
-            result.entries.update(
-                (key, value)
+            return GWTable(model, c1_max, {
+                key: value
                 for key, value in table.entries.items()
                 if model.c1_degree(key[0]) <= c1_max
-            )
-            return result
+            })
     return wdvv_solve(model, standard_seeds(model), c1_max)

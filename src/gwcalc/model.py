@@ -156,6 +156,9 @@ class FanoModel:
                 raise ModelError(f"seed {key} has value {value!r}, not a non-negative integer")
             if keys.count(key) > 1:
                 raise ModelError(f"seed {key} appears twice")
+        if not p:
+            # curve classes are dual to the divisors, so there is no curve to count
+            raise ModelError("basis needs at least one class of codimension 1")
 
         pairs = tuple((e, f, v) for e, row in enumerate(inverse) for f, v in enumerate(row) if v)
         self.__dict__.update(

@@ -92,10 +92,13 @@ def accumulate(target: dict, items: Iterable[tuple], factor: Coefficient = 1) ->
     return target
 
 
-def class_splits(beta: MultiIndex) -> list[MultiIndex]:
-    """Every beta1 with 0 <= beta1 <= beta componentwise, in lexicographic
-    order; beta1 and beta - beta1 are the two parts of a class splitting."""
-    return list(itertools.product(*(range(d + 1) for d in beta)))
+def class_splits(beta: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
+    """Every splitting (beta1, beta - beta1) with 0 <= beta1 <= beta
+    componentwise, in lexicographic order of beta1."""
+    return [
+        (beta1, tuple(x - y for x, y in zip(beta, beta1)))
+        for beta1 in itertools.product(*(range(d + 1) for d in beta))
+    ]
 
 
 def compositions(weights: tuple[int, ...], target: int) -> Iterator[MultiIndex]:

@@ -409,6 +409,26 @@ def test_bad_triple_index_model_file(capsys, tmp_path, triple):
     assert (code, out, err) == (2, "", f"error: triple {triple} has an index outside 0..2\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--dmax", "2"),
+        ("qring",),
+        ("verify", "--suite", "all"),
+        ("verify", "--suite", "wdvv"),
+    ],
+)
+def test_point_model_file_is_refused_by_rule(capsys, tmp_path, argv):
+    data = {
+        "name": "pt", "dimension": 0, "basis": [{"name": "T0", "codim": 0}],
+        "pairing": [[1]], "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}], "effective": [],
+    }
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--model-file", str(path))
+    assert (code, out, err) == (2, "", "error: basis needs at least one class of codimension 1\n")
+
+
 def _seeds(*seeds):
     def edit(data):
         data["seeds"] = [{"class": c, "insertions": n, "value": v} for c, n, v in seeds]

@@ -256,6 +256,51 @@ def test_seedless_file_loads(p2):
     assert model_from_dict(p2.to_dict()) == p2
 
 
+# shapes with no divisor class: a point, and a fourfold with even codimensions only
+_DIVISORLESS = {
+    "point": dict(
+        name="pt", dimension=0, basis_names=("T0",), codims=(0,), pairing=((1,),),
+        triples={(0, 0, 0): 1}, effective_c1=(),
+    ),
+    "fourfold": dict(
+        name="four", dimension=4, basis_names=("T0", "S", "pt"), codims=(0, 2, 4),
+        pairing=((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        triples={(0, 0, 2): 1, (0, 1, 1): 1}, effective_c1=(),
+    ),
+}
+
+
+def _as_file_data(fields):
+    return {
+        "name": fields["name"],
+        "dimension": fields["dimension"],
+        "basis": [
+            {"name": name, "codim": codim}
+            for name, codim in zip(fields["basis_names"], fields["codims"])
+        ],
+        "pairing": [list(row) for row in fields["pairing"]],
+        "triples": [
+            {"i": i, "j": j, "k": k, "value": value}
+            for (i, j, k), value in fields["triples"].items()
+        ],
+        "effective": [],
+    }
+
+
+@pytest.mark.parametrize("shape", list(_DIVISORLESS))
+def test_model_without_a_divisor_is_refused(shape):
+    # curve classes are dual to the divisor classes: without one there is no curve to count
+    text = "basis needs at least one class of codimension 1"
+    fields = _DIVISORLESS[shape]
+    with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+        FanoModel(**fields)
+    with pytest.raises(ModelError, match=f"^{re.escape(text)}$"):
+        model_from_dict(_as_file_data(fields))
+    # the rule is checked last, so a fault reported before keeps its message
+    with pytest.raises(ModelError, match="^need exactly one effective generator per divisor"):
+        FanoModel(**{**fields, "effective_c1": (1,)})
+
+
 def test_equality_ignores_only_the_name(p2, p3, q3):
     data = q3.to_dict()
     data["name"] = "p3"
