@@ -87,25 +87,17 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-class ConfigError(ValueError):
-    """Invalid flag combination or bound; maps to exit code 2."""
-
-
 def _resolve_model(args: argparse.Namespace) -> FanoModel:
-    if args.r is not None and args.model != "pr":
-        raise ConfigError("--r applies only to --model pr")
     if args.model_file:
         return load_model(args.model_file)
     if args.model is None:
-        raise ConfigError("a model is required (--model or --model-file)")
-    if args.model == "pr" and args.r is None:
-        raise ConfigError("--model pr needs --r")
-    return builtin_model(args.model, r=args.r)
+        raise ValueError("a model is required (--model or --model-file)")
+    return builtin_model(args.model)
 
 
 def _require_dmax(args: argparse.Namespace) -> int:
     if args.dmax < 1:
-        raise ConfigError("--dmax must be at least 1")
+        raise ValueError("--dmax must be at least 1")
     return args.dmax
 
 
@@ -140,7 +132,7 @@ def _cmd_fano3(args: argparse.Namespace) -> Report:
 
 def _cmd_wdvv_count(args: argparse.Namespace) -> Report:
     if args.m is None or args.m < 2:
-        raise ConfigError("wdvv-count needs --m of at least 2")
+        raise ValueError("wdvv-count needs --m of at least 2")
     rows = [((m,), wdvv_count(m)) for m in range(2, args.m + 1)]
     report = Report("-", "wdvv-count", {"m": args.m}, ["m"], rows)
     for m in range(2, min(args.m, 7) + 1):
@@ -196,15 +188,14 @@ def _cmd_qring(args: argparse.Namespace) -> Report:
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite not in {"wdvv", "rings", "boundary", "all"}:
-        raise ConfigError("--suite must be wdvv, rings, boundary, or all")
+        raise ValueError("--suite must be wdvv, rings, boundary, or all")
     d_max = _require_dmax(args)
     bounds = {"suite": args.suite, "dmax": d_max}
 
     name = args.model
-    grass = name.startswith("gr") and name[2:].isdigit() and len(name) == 4
-    if grass and args.r is None:  # with --r, _resolve_model refuses it
+    if name.startswith("gr") and name[2:].isdigit() and len(name) == 4:
         if args.suite not in {"rings", "all"}:
-            raise ConfigError(f"model {name} supports only the rings suite")
+            raise ValueError(f"model {name} supports only the rings suite")
         from .qring import _grassmannian_checks
 
         report = Report(name, "verify", bounds, [])
@@ -226,12 +217,12 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
         ring = small_ring(table)
         report.checks.extend(_ring_checks(bundle, ring))
-        if model.dimension >= 1 and model == builtin_model("pr", r=model.dimension):
+        if model == builtin_model(f"p{model.dimension}"):
             report.checks.extend(_pr_checks(ring))
     plane = model == builtin_model("p2")
     if args.suite == "boundary" or (args.suite == "all" and plane):
         if not plane:
-            raise ConfigError("the boundary suite replays the plane argument; use --model p2")
+            raise ValueError("the boundary suite replays the plane argument; use --model p2")
         from .boundary import _boundary_checks
 
         report.checks.extend(_boundary_checks(d_max))
@@ -255,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             source = p.add_mutually_exclusive_group()
             source.add_argument(
-                "--model", help="built-in model name (p1, p2, p3, p4, q3, pr, p1xp1)"
+                "--model", help="built-in model name (p<r> for projective r-space, q3, p1xp1)"
             )
             source.add_argument("--model-file", help="path to a model description file")
-            p.add_argument("--r", type=int, help="projective dimension for --model pr")
 
     p_nd = sub.add_parser("nd", help="plane-curve counts through d_max")
     p_nd.add_argument("--dmax", type=int, required=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -281,7 +282,7 @@ _ANTIDIAGONAL = tuple(tuple(int(i + j == 3) for j in range(4)) for i in range(4)
 def _projective_space(r: int) -> FanoModel:
     point = (0,) * (r - 2) + (2,) if r > 1 else ()  # one line through two points
     return FanoModel(
-        name=f"p{r}" if r <= 9 else f"pr({r})",
+        name=f"p{r}",
         dimension=r,
         basis_names=tuple(f"T{i}" for i in range(r + 1)),
         codims=tuple(range(r + 1)),
@@ -321,15 +322,11 @@ def _product_of_lines() -> FanoModel:
     )
 
 
-def builtin_model(name: str, r: int | None = None) -> FanoModel:
-    """A built-in model: p1, p2, p3, p4, q3, pr (with r), or p1xp1.  Each
-    space is built and validated once per process, so ``builtin_model("p3")``
-    and ``builtin_model("pr", 3)`` are one object."""
-    if name == "pr":
-        if r is None or r < 1:
-            raise ModelError("model 'pr' needs a projective dimension r >= 1")
-        return _projective_space(r)
-    if name in {"p1", "p2", "p3", "p4"}:
+def builtin_model(name: str) -> FanoModel:
+    """A built-in model: p<r> (projective r-space, r >= 1), q3, or p1xp1.
+    Each space is built and validated once per process, so every
+    ``builtin_model("p3")`` is one object."""
+    if re.fullmatch(r"p[1-9][0-9]*", name):
         return _projective_space(int(name[1:]))
     if name == "q3":
         return _quadric_threefold()

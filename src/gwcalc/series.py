@@ -325,8 +325,9 @@ def row_reduce(
         if not row:
             continue
         lead = min(row)
-        inv = Fraction(1, row[lead])
-        row = {col: value * inv for col, value in row.items()}
+        if row[lead] != 1:  # a lead of -1 keeps an integer row integral
+            inv = -1 if row[lead] == -1 else Fraction(1, row[lead])
+            row = {col: value * inv for col, value in row.items()}
         for other in pivots.values():
             if lead in other:
                 accumulate(other, row.items(), -other[lead])

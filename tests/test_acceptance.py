@@ -164,7 +164,7 @@ def test_criterion_07_ring_laws():
 def test_criterion_08_small_rings():
     ok = True
     for r in (1, 2, 3, 4):
-        model = builtin_model("pr", r=r)
+        model = builtin_model(f"p{r}")
         ring = small_ring(standard_table(model, 2 * r))
         for i in range(1, r + 1):
             for j in range(i, r + 1):

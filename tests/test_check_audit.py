@@ -3,7 +3,7 @@
 Each check name that these commands emit is paired with one perturbation
 under which the command reports that check as FAIL:
 
-- ``verify --suite all`` on p2 (``--dmax 3``), p3, q3, p1xp1 and ``pr --r 5``;
+- ``verify --suite all`` on p2 (``--dmax 3``), p3, q3, p1xp1 and p5;
 - ``verify --suite rings --model gr24``;
 - ``nd --check``.
 
@@ -31,7 +31,7 @@ from gwcalc.series import GradedPoly
 
 P2 = ("verify", "--suite", "all", "--model", "p2", "--dmax", "3")
 P3 = ("verify", "--suite", "all", "--model", "p3")
-PR5 = ("verify", "--suite", "all", "--model", "pr", "--r", "5")
+PR5 = ("verify", "--suite", "all", "--model", "p5")
 GR24 = ("verify", "--suite", "rings", "--model", "gr24")
 ND = ("nd", "--dmax", "3", "--check")
 COMMANDS = (

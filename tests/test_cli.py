@@ -127,7 +127,7 @@ def _in_each_format(argv, *digests):
             "json",
         ),
         (
-            ("--model", "pr", "--r", "4", "--dmax", "3"),
+            ("--model", "p4", "--dmax", "3"),
             "1eedde6f48f703b43bf594e70dbeb9bf698b8861be99aa900230aa286f188993",
             "json",
         ),
@@ -171,7 +171,7 @@ def test_solve_json_golden(capsys, argv, digest, fmt):
             "013c9827b258de8ec5ae13cc8ba4617ec58c08b6fea8c630da58dbab3fe19a14",
         ),
         *_in_each_format(
-            ("verify", "--suite", "rings", "--model", "pr", "--r", "3"),
+            ("verify", "--suite", "rings", "--model", "p3"),
             "b8fee35d7626933e25db8ec306a275a99a8606804aaad5991978ba996643e99b",
             "6933d35fa9a08d8158fae2fdf54b3507027bf260622910b65cea113d5ee92175",
             "9051dc334d710c27bf817ac296ee2668eea03ac4b0f3db726d7490f20d052b17",
@@ -224,13 +224,13 @@ def test_verify_wdvv_plane(capsys):
 
 
 def test_verify_rings_projective(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "rings", "--model", "pr", "--r", "3")
+    code, out, _ = run(capsys, "verify", "--suite", "rings", "--model", "p3")
     assert code == 0
     assert "PASS pr3-hyperplane-power" in out
 
 
 def test_verify_rings_projective_above_four(capsys):
-    argv = ["verify", "--suite", "rings", "--model", "pr", "--r", "6", "--dmax", "1"]
+    argv = ["verify", "--suite", "rings", "--model", "p6", "--dmax", "1"]
     checks = {c["name"]: c["pass"] for c in _json_run(capsys, *argv)["checks"]}
     for name in ("pr6-product-rules", "pr6-hyperplane-power", "pr6-normal-form"):
         assert checks[name] is True
@@ -259,7 +259,7 @@ def test_verify_all_quadric(capsys):
 def test_exit_code_usage_errors(capsys):
     assert run(capsys, "nd", "--dmax", "0")[0] == 2
     assert run(capsys, "fano3", "--space", "bad", "--dmax", "2")[0] == 2
-    assert run(capsys, "solve", "--model", "pr", "--dmax", "2")[0] == 2  # missing --r
+    assert run(capsys, "solve", "--model", "pr", "--dmax", "2")[0] == 2  # no such model
     assert run(capsys, "verify", "--suite", "nope", "--model", "p2")[0] == 2
     assert run(capsys, "wdvv-count", "--m", "1")[0] == 2
 
@@ -279,6 +279,12 @@ def test_conflicting_model_flags_are_refused(capsys, tmp_path):
         main(["solve", "--model", "p3", "--model-file", str(path), "--dmax", "1"])
     assert info.value.code == 2
     assert "--model-file: not allowed with argument --model" in capsys.readouterr().err
+
+
+def test_projective_dimension_is_no_option(capsys, tmp_path):
+    # projective r-space is --model p<r>; argparse refuses --r everywhere
+    path = tmp_path / "p2.json"
+    save_model(builtin_model("p2"), path)
     for argv in (
         ("solve", "--model", "p3", "--r", "9", "--dmax", "1"),
         ("solve", "--model-file", str(path), "--r", "9", "--dmax", "1"),
@@ -286,8 +292,24 @@ def test_conflicting_model_flags_are_refused(capsys, tmp_path):
         ("verify", "--suite", "wdvv", "--r", "3"),
         ("verify", "--suite", "rings", "--model", "gr24", "--r", "3"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: --r applies only to --model pr\n")
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --r" in captured.err
+
+
+@pytest.mark.parametrize("name", ["pr", "p0", "p03", "p\u00b2", "p1x"])
+def test_model_names_outside_p_r_exit_2(capsys, name):
+    code, out, err = run(capsys, "solve", "--model", name, "--dmax", "1")
+    assert (code, out, err) == (2, "", f"error: unknown model name {name!r}\n")
+
+
+def test_large_projective_space_report_names_it(capsys):
+    code, out, _ = run(capsys, "solve", "--model", "p10", "--dmax", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["model"] == "p10"
 
 
 def test_repeated_verify_builds_no_model(capsys, monkeypatch):
@@ -521,7 +543,7 @@ def test_verify_labels_the_resolved_model(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--model-file", str(path), "--dmax", "1")
     assert code == 0
     assert out.startswith("verify on quadric ")
-    code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--model", "pr", "--r", "3", "--dmax", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--model", "p3", "--dmax", "1")
     assert code == 0
     assert out.startswith("verify on p3 ")
     code, out, _ = run(capsys, "verify", "--suite", "wdvv", "--dmax", "1")

@@ -338,7 +338,7 @@ def test_table_refuses_malformed_keys(p3, beta, n):
 
 def test_zero_class_key_cannot_shift_the_classical_triples():
     # y_2^3/3! at the zero class would add its value to <T2 T2 T2> = 1 on P^6
-    p6 = builtin_model("pr", 6)
+    p6 = builtin_model("p6")
     table = standard_table(p6, 7)
     key = ((0,), (3, 0, 0, 0, 0))
     assert p6.dimension_matches(*key)
@@ -507,7 +507,7 @@ def _model_file(name):
         (lambda: builtin_model("p3"), 16),
         (lambda: builtin_model("q3"), 12),
         (lambda: builtin_model("p1xp1"), 10),
-        (lambda: builtin_model("pr", r=4), 15),
+        (lambda: builtin_model("p4"), 15),
         (_model_file("P1XP2"), 8),
         (_model_file("Q3_HYPERPLANE"), 9),
     ],
@@ -594,7 +594,7 @@ def test_solver_takes_seeds_of_equal_data_under_another_name(q3):
 def test_standard_table_routes(p2, q3):
     assert standard_table(p2, 9).entries == nd_plane(3).entries
     assert standard_table(q3, 6).entries == fano3_solve("q3", 2).entries
-    p4 = builtin_model("pr", r=4)
+    p4 = builtin_model("p4")
     table = standard_table(p4, 5)
     assert table.get((1,), (0, 0, 2)) == 1
     assert table.get((1,), (1, 1, 1)) == 1
@@ -616,8 +616,8 @@ def test_standard_table_covers_exactly_the_request(name):
 
 @pytest.mark.parametrize("r", [10, 12])
 def test_standard_seeds_large_projective_spaces(r):
-    # a model named pr(r) once fell through the name-keyed seed table
-    model = builtin_model("pr", r=r)
+    # a projective space above p9 once fell through the name-keyed seed table
+    model = builtin_model(f"p{r}")
     point = (0,) * (r - 2) + (2,)
     assert standard_seeds(model).entries == {((1,), point): 1}
 
@@ -627,7 +627,7 @@ def test_standard_seeds_need_model_seeds(p2):
         standard_seeds(p2.replace(seeds=()))
 
 
-_SPECS = [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("pr", 4)]
+_SPECS = [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("p4",)]
 
 
 @pytest.fixture(scope="module")

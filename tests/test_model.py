@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import re
@@ -145,13 +146,17 @@ def test_product_of_lines_validates():
 
 
 def test_pr_models():
-    p5 = builtin_model("pr", r=5)
+    p5 = builtin_model("p5")
     assert p5.dimension == 5
     assert p5.c1_degree((1,)) == 6
     with pytest.raises(ModelError):
         builtin_model("pr")
     with pytest.raises(ModelError):
         builtin_model("nope")
+    # p and a decimal r >= 1 in ASCII digits, no leading zero, is the only spelling
+    for name in ("p", "p0", "p03", "p\u00b2", "p\u0661", "p1x", "p-1", " p3", "p3 ", "p3\n"):
+        with pytest.raises(ModelError, match="unknown model name"):
+            builtin_model(name)
 
 
 def test_round_trip(tmp_path, p2):
@@ -197,8 +202,8 @@ def test_parse_error(tmp_path):
 
 
 def _every_model():
-    """Every built-in, with pr at two sizes, and the two oracle files."""
-    specs = [(name,) for name in ALL_BUILTINS] + [("p4",), ("pr", 2), ("pr", 6)]
+    """Every built-in, the projective spaces p4, p2 and p6, and the two oracle files."""
+    specs = [(name,) for name in ALL_BUILTINS] + [("p4",), ("p2",), ("p6",)]
     models = [builtin_model(*spec) for spec in specs]
     return models + [model_from_dict(P1XP2), model_from_dict(Q3_HYPERPLANE)]
 
@@ -221,10 +226,10 @@ def test_models_are_hashable_values():
         assert copy == model and copy is not model
         assert hash(copy) == hash(model)
         assert len({model, copy}) == 1
-    # one object per built-in space, whatever the call form
-    assert builtin_model("p3") is builtin_model("pr", 3) is builtin_model("pr", r=3)
-    assert builtin_model("p1") is builtin_model("pr", r=1)
-    assert builtin_model("pr", 12) is builtin_model("pr", r=12)
+    # one object per built-in space
+    assert builtin_model("p3") is builtin_model("p3")
+    assert builtin_model("p1") is builtin_model("p1")
+    assert builtin_model("p12") is builtin_model("p12")
 
 
 def test_model_triples_are_read_only(q3):
@@ -240,9 +245,20 @@ def test_dimension_constraint(p2, q3):
     assert not q3.dimension_matches((2,), (2, 1))
 
 
+def test_projective_space_names_its_dimension():
+    p12 = builtin_model("p12")
+    assert p12 is builtin_model("p12")
+    assert p12.name == "p12"
+    # the data of P^12 as it was built under its former name pr(12)
+    data = p12.to_dict()
+    del data["name"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "badbba5a5b5f537cd23fbfe80ab892400d530bba1490cf6239b4ab5bd699923b"
+
+
 def test_builtin_seeds():
     assert builtin_model("p1").seeds == (((1,), (), 1),)
-    assert builtin_model("pr", r=5).seeds == (((1,), (0, 0, 0, 2), 1),)
+    assert builtin_model("p5").seeds == (((1,), (0, 0, 0, 2), 1),)
     assert builtin_model("q3").seeds == (((1,), (1, 1), 1),)
     assert builtin_model("p1xp1").seeds == (((0, 1), (1,), 1), ((1, 0), (1,), 1))
 

@@ -400,7 +400,7 @@ def test_product_fibre_classes_count_in_their_factor(a, b, c1_max):
         def lift(k, top):  # h^k in this factor, times 1 or the other point
             return index[(k, top) if factor == 0 else (top, k)]
 
-        fibre = standard_table(builtin_model("pr", r), c1_max)
+        fibre = standard_table(builtin_model(f"p{r}"), c1_max)
         reached = set()
         for (beta, n), value in fibre.entries.items():
             # P^r's basis index k is h^k; P^1's counts have only the divisor
@@ -425,7 +425,7 @@ def test_product_small_ring_is_the_tensor_product(a, b, c1_max):
     table, exponents = _product_table(a, b, c1_max)
     index = {e: k for k, e in enumerate(exponents)}
     ring = small_ring(table)
-    first, second = (small_ring(standard_table(builtin_model("pr", r), 2 * r)) for r in (a, b))
+    first, second = (small_ring(standard_table(builtin_model(f"p{r}"), 2 * r)) for r in (a, b))
     for (i, j), expansion in ring.constants.items():
         (i1, i2), (j1, j2) = exponents[i], exponents[j]
         expected = {}
@@ -463,7 +463,7 @@ def _pieri_lines(r, n):
 
 @pytest.mark.parametrize("r", range(2, 8))
 def test_projective_lines_match_pieri(r):
-    model = builtin_model("pr", r=r)
+    model = builtin_model(f"p{r}")
     table = wdvv_solve(model, standard_seeds(model), r + 1)
     lines = {n: value for (beta, n), value in table.entries.items() if beta == (1,)}
     assert lines and any(lines.values())
@@ -475,7 +475,7 @@ def test_projective_lines_match_the_grassmannian_ring(r):
     # lines in P^r are points of G(2, r + 1), and a codimension-a linear
     # space meets the lines of the Schubert class sigma_(a - 1): the count is
     # the degree of the product in H^*(G(2, r + 1)), the quantum ring at q = 0
-    model = builtin_model("pr", r=r)
+    model = builtin_model(f"p{r}")
     table = wdvv_solve(model, standard_seeds(model), r + 1)
     lines = {n: value for (beta, n), value in table.entries.items() if beta == (1,)}
     quantum = grassmannian_presentation(2, r + 1)

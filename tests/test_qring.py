@@ -98,7 +98,7 @@ def test_threefold_associators(p3_potential, q3_potential):
 
 def test_projective_space_associators():
     for r in (1, 2, 3, 4):
-        model = builtin_model("pr", r=r)
+        model = builtin_model(f"p{r}")
         c1_max = 2 * (r + 1)
         table = standard_table(model, c1_max)
         bundle = build_potential(table, c1_max)
@@ -371,7 +371,7 @@ def _raised_potential(model, c1_max):
 
 @pytest.mark.parametrize(
     "spec, c1_max",
-    [(("p2",), 9), (("p3",), 8), (("q3",), 6), (("p1xp1",), 4), (("pr", 4), 5),
+    [(("p2",), 9), (("p3",), 8), (("q3",), 6), (("p1xp1",), 4), (("p4",), 5),
      (("file", "P1XP2"), 5), (("file", "Q3_HYPERPLANE"), 6)],
     ids=["p2", "p3", "q3", "p1xp1", "p4", "p1xp2", "q3h"],
 )
@@ -408,7 +408,7 @@ def test_associator_matches_products_of_products(spec, c1_max):
 
 @pytest.mark.parametrize(
     "spec, c1_max",
-    [(("p2",), 9), (("p3",), 8), (("q3",), 6), (("p1xp1",), 4), (("pr", 4), 5),
+    [(("p2",), 9), (("p3",), 8), (("q3",), 6), (("p1xp1",), 4), (("p4",), 5),
      (("file", "P1XP2"), 5), (("file", "Q3_HYPERPLANE"), 6)],
     ids=["p2", "p3", "q3", "p1xp1", "p4", "p1xp2", "q3h"],
 )
@@ -474,7 +474,7 @@ def _expansion_coeffs(expansion):
 
 def test_projective_space_product_rules():
     for r in (1, 2, 3, 4):
-        model = builtin_model("pr", r=r)
+        model = builtin_model(f"p{r}")
         ring = small_ring(standard_table(model, 2 * r))
         for i in range(1, r + 1):
             for j in range(i, r + 1):
@@ -494,7 +494,7 @@ def _nonzero_polys(expansion):
 
 def test_hyperplane_power_is_deformation_parameter():
     for r in (1, 2, 3, 4):
-        model = builtin_model("pr", r=r)
+        model = builtin_model(f"p{r}")
         ring = small_ring(standard_table(model, 2 * r))
         power = _nonzero_polys(ring.basis_power(1, r + 1))
         assert list(power) == [0]
@@ -572,7 +572,7 @@ def _small_ring_by_invariants(model, table):
 
 @pytest.mark.parametrize(
     "spec",
-    [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("pr", 4), ("pr", 5), ("pr", 6),
+    [("p1",), ("p2",), ("p3",), ("q3",), ("p1xp1",), ("p4",), ("p5",), ("p6",),
      ("file", "P1XP2"), ("file", "Q3_HYPERPLANE")],
 )
 def test_small_ring_matches_the_invariant_oracle(spec):

@@ -12,6 +12,7 @@ from gwcalc.series import (
     SeriesBounds,
     binomial_row,
     binomial_z,
+    row_reduce,
     series_partial,
 )
 
@@ -260,6 +261,25 @@ def test_budgeted_product_matches_all_pairs(case):
     if all(type(v) is int for v in factors):
         assert all(type(v) is int for v in product.coeffs.values())
     assert all(type(v) in (int, Fraction) for v in product.coeffs.values())
+
+
+# -- row reduction -----------------------------------------------------------
+
+
+def test_row_reduce_keeps_an_integer_system_with_unit_leads_integral():
+    # every lead met on the way is 1 or -1, and the last row is dependent
+    rows = [{0: -1, 1: 2, 3: 4}, {1: 1, 2: -3}, {0: 1, 1: -1, 2: -4, 3: -4}, {0: 2, 1: -4, 3: -8}]
+    pivots, origin = row_reduce(rows)
+    assert pivots == {0: {0: 1, 3: -4}, 1: {1: 1}, 2: {2: 1}}
+    assert origin == {0: 0, 1: 1, 2: 2}
+    assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+
+def test_row_reduce_divides_by_any_other_lead():
+    pivots, _ = row_reduce([{0: 2, 1: 1}, {1: 3}])
+    assert pivots == {0: {0: 1}, 1: {1: 1}}
+    pivots, _ = row_reduce([{0: 2, 1: 1}])
+    assert pivots == {0: {0: 1, 1: Fraction(1, 2)}}
 
 
 # -- graded polynomials ------------------------------------------------------
